@@ -167,8 +167,8 @@ Result<UpdateEngine::AppliedEntries> UpdateEngine::execute_install(
     // Forward path completed: the pipeline's table state now belongs to the
     // active control operation. (Rollbacks do NOT stamp — the reverted state
     // still belongs to whichever earlier operation installed it.)
-    dataplane_.note_table_update(
-        telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0);
+    observe_publish(dataplane_.note_table_update(
+        telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0));
   }
   return out;
 }
@@ -295,8 +295,8 @@ Status UpdateEngine::remove(InstalledProgram& program) {
     announce_deploy(program);
     return removed;
   }
-  dataplane_.note_table_update(
-      telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0);
+  observe_publish(dataplane_.note_table_update(
+      telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0));
   return removed;
 }
 
@@ -402,11 +402,13 @@ UpdateEngine::PendingWrite UpdateEngine::submit_install(
     ChannelCursor cursor = begin_job(submitted, outcome.get());
     outcome->applied = run_install(*batch_ptr, &cursor);
     // Publish on the writer thread: it is the only table mutator in async
-    // mode, so the snapshot deep-copy cannot race a later queued job (the
+    // mode, so the snapshot freeze cannot race a later queued job (the
     // session thread in finish_install may run concurrently with one).
     // Rollback (the !ok branch) publishes nothing — shard traffic never
     // sees the faulted intermediate state.
-    if (outcome->applied->ok()) dataplane_.note_table_update(outcome->trace);
+    if (outcome->applied->ok()) {
+      outcome->publish = dataplane_.note_table_update(outcome->trace);
+    }
     end_job(cursor);
     outcome->completion_ns = cursor.now;
     promise->set_value();
@@ -425,6 +427,7 @@ Result<UpdateEngine::AppliedEntries> UpdateEngine::finish_install(
   assert(outcome.applied.has_value());
   // Table stamp + snapshot publication already happened on the writer
   // thread, immediately after the run core (see submit_install).
+  observe_publish(outcome.publish);
   return std::move(*outcome.applied);
 }
 
@@ -458,7 +461,9 @@ UpdateEngine::PendingWrite UpdateEngine::submit_remove(
     outcome->removed = run_remove(*outcome->batch, *prog, &cursor, outcome.get());
     // Same single-mutator rule as submit_install: publish here, not in
     // finish_remove, and never after a fault-unwind.
-    if (outcome->removed->ok()) dataplane_.note_table_update(outcome->trace);
+    if (outcome->removed->ok()) {
+      outcome->publish = dataplane_.note_table_update(outcome->trace);
+    }
     end_job(cursor);
     outcome->completion_ns = cursor.now;
     promise->set_value();
@@ -481,6 +486,7 @@ Status UpdateEngine::finish_remove(PendingWrite& pending,
     }
     // Table stamp + snapshot publication already happened on the writer
     // thread, immediately after the run core (see submit_remove).
+    observe_publish(outcome.publish);
   } else {
     // Fault-unwind restored the program with fresh handles on the writer
     // thread; re-announce it so the monitor's installed set matches reality.
@@ -518,6 +524,14 @@ void UpdateEngine::emit_charges(const WriteOutcome& outcome) {
       m.counter("ctrl.bfrt.mem_resets").inc();
     }
   }
+}
+
+void UpdateEngine::observe_publish(const std::optional<dp::PublishStats>& publish) {
+  if (telemetry_ == nullptr || !publish) return;
+  auto& m = telemetry_->metrics;
+  m.histogram("rmt.snapshot.publish_us").observe(publish->publish_us);
+  m.counter("rmt.snapshot.buckets_frozen").inc(publish->buckets.frozen);
+  m.counter("rmt.snapshot.buckets_shared").inc(publish->buckets.shared);
 }
 
 void UpdateEngine::update_queue_gauge() {

@@ -122,6 +122,9 @@ class UpdateEngine {
     std::optional<Result<AppliedEntries>> applied;  ///< install jobs
     std::optional<Status> removed;                  ///< remove jobs
     std::vector<ChannelCharge> charges;
+    /// Cost of the snapshot publish the writer ran after a successful job
+    /// (sharded mode only); observed into the registry at finish time.
+    std::optional<dp::PublishStats> publish;
     /// Memory blocks a successful remove reset; freed by finish_remove
     /// (the writer never touches the resource manager).
     std::vector<std::pair<int, MemBlock>> deferred_frees;
@@ -319,6 +322,11 @@ class UpdateEngine {
   /// recorded virtual times, stamped with the submit-time trace id) and the
   /// ctrl.bfrt.* counters. Caller holds the session lock.
   void emit_charges(const WriteOutcome& outcome);
+  /// Record a snapshot publish into rmt.snapshot.publish_us and the
+  /// rmt.snapshot.buckets_{frozen,shared} counters (no-op for nullopt: no
+  /// publish happened). Session thread only: the registry is not
+  /// thread-safe, so writer-thread publishes arrive via WriteOutcome.
+  void observe_publish(const std::optional<dp::PublishStats>& publish);
   void update_queue_gauge();
 
   /// Called once per applied forward op — the same granularity as the fault

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +38,11 @@ inline constexpr int kFilterKeyWidth = 7;
 /// Filtering-table type: key width fixed at compile time so entries keep
 /// their keys inline (the filter scan is the hot path of unclaimed traffic).
 using FilterTable = rmt::TernaryTable<ProgramId, kFilterKeyWidth>;
+/// The published form of the filtering tables, one per parsing path, read
+/// by shard pipes (see dp::TableSnapshot).
+using FrozenFilterTable = rmt::FrozenTernaryTable<ProgramId, kFilterKeyWidth>;
+using FrozenFilterTables =
+    std::array<std::shared_ptr<const FrozenFilterTable>, kNumParsePaths>;
 
 /// One `<field, value, mask>` filter tuple from a program declaration.
 struct FilterTuple {
@@ -78,9 +84,7 @@ class InitBlock final : public rmt::PipelineStage {
   /// back to the own/master tables). Shard instances are re-bound at every
   /// batch start; the per-program claim counters stay on THIS instance
   /// (shard-local mutable state), only the match tables are shared.
-  void bind_tables(const std::array<FilterTable, kNumParsePaths>* tables) noexcept {
-    bound_ = tables;
-  }
+  void bind_tables(const FrozenFilterTables* tables) noexcept { bound_ = tables; }
 
   /// Which path a parsed packet takes (deepest parsed header wins).
   [[nodiscard]] static ParsePath path_of(const rmt::Phv& phv) noexcept;
@@ -92,7 +96,7 @@ class InitBlock final : public rmt::PipelineStage {
 
  private:
   std::array<FilterTable, kNumParsePaths> tables_;
-  const std::array<FilterTable, kNumParsePaths>* bound_ = nullptr;
+  const FrozenFilterTables* bound_ = nullptr;
   /// Per-program claim counters, indexed by program id. Fixed capacity
   /// (program ids are recycled, so the max live id is bounded by the total
   /// filter-entry capacity) and relaxed atomics: they model pipe-local

@@ -8,15 +8,13 @@ RecircBlock::RecircBlock(std::uint32_t capacity) : table_(2, capacity) {}
 
 void RecircBlock::process(rmt::Phv& phv) {
   if (phv.program_id == 0) return;
-  const auto& table = read_table();
-  // Single-pass deployments leave this table empty: skip the lookup.
-  if (table.size() == 0) return;
   const std::array<Word, 2> fields = {static_cast<Word>(phv.program_id),
                                       static_cast<Word>(phv.recirc_id)};
-  // Bound (snapshot) lookups drop probe accounting: the snapshot table is
-  // shared across shards and its mutable stats member must stay untouched.
-  const bool hit = bound_ != nullptr ? table.lookup(fields, nullptr) != nullptr
-                                     : table.lookup(fields) != nullptr;
+  // Single-pass deployments leave the table empty: skip the lookup. A bound
+  // frozen table counts no probes (it is shared across shards).
+  const bool hit = bound_ != nullptr
+                       ? bound_->size() != 0 && bound_->lookup(fields) != nullptr
+                       : table_.size() != 0 && table_.lookup(fields) != nullptr;
   if (hit) {
     phv.recirculate = true;
     if (phv.trace != nullptr) {

@@ -14,6 +14,12 @@
 
 namespace p4runpro::dp {
 
+/// Keyed on (program_id, recirc_id); payload unused. Width fixed at compile
+/// time so entries keep their keys inline.
+using RecircTable = rmt::TernaryTable<bool, 2>;
+/// Its published form, read by shard pipes (see dp::TableSnapshot).
+using FrozenRecircTable = rmt::FrozenTernaryTable<bool, 2>;
+
 class RecircBlock final : public rmt::PipelineStage {
  public:
   explicit RecircBlock(std::uint32_t capacity);
@@ -27,28 +33,16 @@ class RecircBlock final : public rmt::PipelineStage {
 
   [[nodiscard]] std::size_t entries() const noexcept { return table_.size(); }
 
-  /// The master table (what snapshots copy from).
-  [[nodiscard]] const rmt::TernaryTable<bool, 2>& table() const noexcept {
-    return table_;
-  }
+  /// The master table (what snapshots freeze).
+  [[nodiscard]] const RecircTable& table() const noexcept { return table_; }
 
   /// Redirect lookups to a frozen snapshot table (nullptr = back to the
-  /// own/master table). Shard instances are re-bound at every batch start;
-  /// bound lookups use a null stats sink so concurrent readers of one
-  /// snapshot never write shared state.
-  void bind_table(const rmt::TernaryTable<bool, 2>* table) noexcept {
-    bound_ = table;
-  }
+  /// own/master table). Shard instances are re-bound at every batch start.
+  void bind_table(const FrozenRecircTable* table) noexcept { bound_ = table; }
 
  private:
-  [[nodiscard]] const rmt::TernaryTable<bool, 2>& read_table() const noexcept {
-    return bound_ != nullptr ? *bound_ : table_;
-  }
-
-  /// Keyed on (program_id, recirc_id); payload unused. Width fixed at
-  /// compile time so entries keep their keys inline.
-  rmt::TernaryTable<bool, 2> table_;
-  const rmt::TernaryTable<bool, 2>* bound_ = nullptr;
+  RecircTable table_;
+  const FrozenRecircTable* bound_ = nullptr;
 };
 
 }  // namespace p4runpro::dp

@@ -31,10 +31,9 @@ void Rpb::process(rmt::Phv& phv) {
   if (phv.program_id == 0) return;  // no program claimed this packet
 
   const bool bound = bound_ != nullptr;
-  const RpbTable& table = read_table();
   // Provisioned-but-unused stage: nothing can match. Skip the cache and
   // lookup machinery but keep the per-stage miss accounting identical.
-  if (table.size() == 0) {
+  if (read_size() == 0) {
     if (stats_ != nullptr) ++stats_->table_misses;
     ++phv.pkt_table_misses;
     return;
@@ -47,7 +46,7 @@ void Rpb::process(rmt::Phv& phv) {
   // never-repeating epoch (sharded path) so entry churn and snapshot swaps
   // both invalidate instantly and a stale slot can never resurrect a
   // pointer into a superseded snapshot.
-  const std::uint64_t tag = bound ? bound_epoch_ : table.generation();
+  const std::uint64_t tag = bound ? bound_epoch_ : table_.generation();
   const std::uint64_t key = cache_key(phv.program_id, phv.branch_id, phv.recirc_id);
   CacheSlot& slot = match_cache_[cache_slot_index(key)];
   const RpbAction* action;
@@ -60,10 +59,12 @@ void Rpb::process(rmt::Phv& phv) {
         static_cast<Word>(phv.program_id), static_cast<Word>(phv.branch_id),
         static_cast<Word>(phv.recirc_id),  phv.reg(Reg::Har),
         phv.reg(Reg::Sar),                 phv.reg(Reg::Mar)};
-    // Bound (snapshot) lookups use a null stats sink: the snapshot table
-    // is shared across shards and its probe counters must stay untouched.
-    action = bound ? table.lookup(fields, nullptr) : table.lookup(fields);
-    if ((table.key_use(phv.program_id) & kRegisterKeyMask) == 0) {
+    // The master table counts probes; a frozen (snapshot) table, shared
+    // across shards, counts nothing.
+    action = bound ? bound_->lookup(fields) : table_.lookup(fields);
+    const std::uint32_t key_use =
+        bound ? bound_->key_use(phv.program_id) : table_.key_use(phv.program_id);
+    if ((key_use & kRegisterKeyMask) == 0) {
       slot = CacheSlot{tag, key, action};
     }
   }

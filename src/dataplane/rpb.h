@@ -45,6 +45,8 @@ inline constexpr int kRpbKeyWidth = 6;
 /// The RPB's table type: key width fixed at compile time so every entry
 /// stores its keys inline (no per-entry heap hop on the lookup path).
 using RpbTable = rmt::TernaryTable<RpbAction, kRpbKeyWidth>;
+/// Its published form, read by shard pipes (see dp::TableSnapshot).
+using FrozenRpbTable = rmt::FrozenTernaryTable<RpbAction, kRpbKeyWidth>;
 
 class Rpb final : public rmt::PipelineStage {
  public:
@@ -70,15 +72,15 @@ class Rpb final : public rmt::PipelineStage {
   /// per-table generation could collide across snapshots whose OTHER
   /// tables differ, and the cached action pointer would dangle into freed
   /// snapshot storage.
-  void bind_table(const RpbTable* table, std::uint64_t epoch) noexcept {
+  void bind_table(const FrozenRpbTable* table, std::uint64_t epoch) noexcept {
     bound_ = table;
     bound_epoch_ = epoch;
   }
 
-  /// The table lookups currently read from: the bound snapshot table when
-  /// sharded, the own/master table otherwise.
-  [[nodiscard]] const RpbTable& read_table() const noexcept {
-    return bound_ != nullptr ? *bound_ : table_;
+  /// Entries in the table lookups currently read from: the bound snapshot
+  /// table when sharded, the own/master table otherwise.
+  [[nodiscard]] std::size_t read_size() const noexcept {
+    return bound_ != nullptr ? bound_->size() : table_.size();
   }
 
   rmt::StageMemory& memory() noexcept { return memory_; }
@@ -104,8 +106,8 @@ class Rpb final : public rmt::PipelineStage {
   /// Direct-mapped match cache over the (program, branch, recirc) control
   /// flags. A cached winner is valid only while the validity tag is
   /// unchanged AND no entry that could match the program keys on the
-  /// Har/Sar/Mar components (checked via RpbTable::key_use at fill time),
-  /// so conditional-branch and register-keyed programs stay exact. Misses
+  /// Har/Sar/Mar components (checked via key_use at fill time), so
+  /// conditional-branch and register-keyed programs stay exact. Misses
   /// (nullptr winners) are cached too under the same validity rule.
   /// The tag is the own table's generation on the master path and the
   /// bound snapshot's epoch on the sharded path (see bind_table).
@@ -137,7 +139,7 @@ class Rpb final : public rmt::PipelineStage {
   int physical_id_;
   bool ingress_;
   RpbTable table_;
-  const RpbTable* bound_ = nullptr;
+  const FrozenRpbTable* bound_ = nullptr;
   std::uint64_t bound_epoch_ = 0;
   rmt::StageMemory memory_;
   rmt::HashAlgo hash16_;

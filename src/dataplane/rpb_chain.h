@@ -30,9 +30,9 @@ class RpbChain final : public rmt::PipelineStage {
     if (phv.program_id == 0) return;
     std::uint32_t skipped = 0;
     for (Rpb* rpb : raw_) {
-      // read_table(): the bound snapshot table when sharded, so the empty
+      // read_size(): the bound snapshot table when sharded, so the empty
       // check and the lookup inside process() see the same frozen state.
-      if (rpb->read_table().size() == 0) {
+      if (rpb->read_size() == 0) {
         ++skipped;
         continue;
       }

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "common/clock.h"
 #include "obs/telemetry.h"
 
 namespace p4runpro::dp {
@@ -81,9 +82,9 @@ RunproDataplane::PipeShard::PipeShard(const DataplaneSpec& spec,
 void RunproDataplane::PipeShard::bind(const TableSnapshot& snap) {
   init->bind_tables(&snap.filters);
   for (std::size_t i = 0; i < rpbs.size(); ++i) {
-    rpbs[i]->bind_table(&snap.rpb_tables[i], snap.epoch);
+    rpbs[i]->bind_table(snap.rpb_tables[i].get(), snap.epoch);
   }
-  recirc->bind_table(&snap.recirc);
+  recirc->bind_table(snap.recirc.get());
   // The observation stamp travels inside the snapshot; mirror it into this
   // pipe so PacketObservation::table_trace names the snapshot the batch
   // actually matched against (never the master's concurrently-moving
@@ -135,16 +136,26 @@ rmt::Pipeline::BatchResult RunproDataplane::inject_batch_on(
   return result;
 }
 
-void RunproDataplane::note_table_update(std::uint64_t trace) {
+std::optional<PublishStats> RunproDataplane::note_table_update(std::uint64_t trace) {
   pipeline_.note_table_update(trace);
-  publish_snapshot();
+  return publish_snapshot();
 }
 
-void RunproDataplane::publish_snapshot() {
-  if (hub_ == nullptr) return;
-  hub_->publish(std::make_unique<TableSnapshot>(*init_, rpbs_, *recirc_,
-                                                pipeline_.table_trace(),
-                                                pipeline_.table_generation()));
+std::optional<PublishStats> RunproDataplane::publish_snapshot() {
+  if (hub_ == nullptr) return std::nullopt;
+  const WallTimer timer;
+  // Built against the current snapshot: this thread is the only publisher,
+  // so nothing can retire that snapshot while the freeze reads it. A new
+  // hub (enable_sharding) has none, and the first snapshot copies all.
+  auto next = std::make_unique<TableSnapshot>(*init_, rpbs_, *recirc_,
+                                              pipeline_.table_trace(),
+                                              pipeline_.table_generation(),
+                                              hub_->current());
+  PublishStats stats;
+  stats.buckets = next->buckets;
+  hub_->publish(std::move(next));
+  stats.publish_us = timer.elapsed_ms() * 1000.0;
+  return stats;
 }
 
 std::uint64_t RunproDataplane::claimed_packets(ProgramId program) const {

@@ -11,12 +11,14 @@
 // journal keep operating on them byte-identically, and traffic only sees a
 // mutation once note_table_update() publishes the next snapshot (pointer
 // swap + epoch grace period; a rolled-back operation never publishes, so
-// shards keep matching the last good state). See docs/ARCHITECTURE.md
-// "Snapshot data plane".
+// shards keep matching the last good state). Each snapshot is built against
+// the current one and shares its unchanged tables and buckets. See
+// docs/ARCHITECTURE.md "Snapshot data plane".
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,6 +38,14 @@ struct Telemetry;
 }
 
 namespace p4runpro::dp {
+
+/// The cost of one snapshot publish: wall time to freeze the master tables
+/// and swap the snapshot in (reclaiming drained retired snapshots
+/// included), and the buckets the new snapshot copied and shared.
+struct PublishStats {
+  double publish_us = 0.0;
+  rmt::FreezeCounts buckets;
+};
 
 class RunproDataplane {
  public:
@@ -109,10 +119,11 @@ class RunproDataplane {
 
   /// Record that a control operation just mutated the master tables: bumps
   /// the master pipeline's generation/trace (as before) and, when sharded,
-  /// publishes the next snapshot. Called by the update engine after each
-  /// successful install/remove; rollback paths never call it, so a faulted
-  /// operation is invisible to shard traffic.
-  void note_table_update(std::uint64_t trace);
+  /// publishes the next snapshot and returns what that cost (nullopt when
+  /// sharding is off). Called by the update engine after each successful
+  /// install/remove, on the thread that mutated the tables; rollback paths
+  /// never call it, so a faulted operation is invisible to shard traffic.
+  std::optional<PublishStats> note_table_update(std::uint64_t trace);
 
   /// Packets claimed by `program` across the master pipe and every shard
   /// (claim counters are pipe-local). Only exact while no shard batch is
@@ -148,7 +159,7 @@ class RunproDataplane {
     std::shared_ptr<RecircBlock> recirc;
   };
 
-  void publish_snapshot();
+  std::optional<PublishStats> publish_snapshot();
 
   DataplaneSpec spec_;
   rmt::ParserConfig parser_config_;  ///< kept for shard construction

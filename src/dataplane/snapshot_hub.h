@@ -87,6 +87,14 @@ class SnapshotHub {
   /// whose grace period has elapsed.
   void publish(std::unique_ptr<TableSnapshot> next);
 
+  /// The latest published snapshot (nullptr before the first publish). For
+  /// the publishing thread only, which may read it without a guard: nothing
+  /// but its own next publish can retire it. The next snapshot is built
+  /// against it (see TableSnapshot's `previous`).
+  [[nodiscard]] const TableSnapshot* current() const noexcept {
+    return current_.load(std::memory_order_seq_cst);
+  }
+
   /// Free every retired snapshot whose grace period has elapsed; returns
   /// how many were freed. Called from publish(); exposed for tests and for
   /// explicit drains.

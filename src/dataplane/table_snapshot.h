@@ -1,10 +1,10 @@
-// Immutable copy of every compiled match table in the data plane, published
-// to shard readers by the control plane (RCU-style; see SnapshotHub). A
-// snapshot freezes:
+// Immutable, frozen form of every compiled match table in the data plane,
+// published to shard readers by the control plane (RCU-style; see
+// SnapshotHub). A snapshot holds:
 //   - the five init-block filtering tables (packet -> program claim),
 //   - every RPB's match-action table (compiled ternary buckets, priorities,
-//     action bindings — the RpbAction payloads live inside the copied
-//     entries, so cached action pointers stay valid for the snapshot's
+//     action bindings — the RpbAction payloads live inside the frozen
+//     buckets, so cached action pointers stay valid for the snapshot's
 //     whole grace period),
 //   - the recirculation table,
 //   - the table trace id / generation of the control operation that
@@ -14,12 +14,15 @@
 // Register memory, counters and match caches are NOT part of a snapshot:
 // they are per-shard mutable state (one StageMemory per pipe per stage).
 //
-// After construction a snapshot is never mutated; shard readers use the
-// stats-sink lookup overloads (see rmt/tables.h) so concurrent reads are
-// free of data races.
+// Tables are rmt::FrozenTernaryTable: a snapshot built against the previous
+// one shares with it every table whose generation did not move and, in the
+// tables that did move, every bucket (one program's entries, in an RPB
+// table) no insert or erase stamped since. A publish therefore copies what
+// the control operation wrote, not everything installed. Nothing in a
+// snapshot is mutated after construction, so concurrent reads are free of
+// data races.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -31,12 +34,15 @@
 namespace p4runpro::dp {
 
 struct TableSnapshot {
-  /// Deep-copies the master tables (the control plane's mutable copies)
-  /// into frozen storage. `trace` / `generation` are the note_table_update
-  /// values of the control operation publishing this snapshot.
+  /// Freezes the master tables (the control plane's mutable copies).
+  /// `trace` / `generation` are the note_table_update values of the control
+  /// operation publishing this snapshot. `previous`, when given, must be a
+  /// snapshot of the same master tables (the hub's current one): unchanged
+  /// tables and buckets are shared with it instead of copied. Without it
+  /// every bucket is copied.
   TableSnapshot(const InitBlock& init, const std::vector<std::shared_ptr<Rpb>>& rpbs,
                 const RecircBlock& recirc, std::uint64_t trace,
-                std::uint64_t generation);
+                std::uint64_t generation, const TableSnapshot* previous = nullptr);
 
   /// Unique, monotonically increasing publish id, assigned by the hub at
   /// publish time (0 = never published). Epochs never repeat, which is what
@@ -48,9 +54,14 @@ struct TableSnapshot {
   std::uint64_t table_trace = 0;
   std::uint64_t table_generation = 0;
 
-  std::array<FilterTable, kNumParsePaths> filters;
-  std::vector<RpbTable> rpb_tables;  ///< index i -> physical RPB id i+1
-  rmt::TernaryTable<bool, 2> recirc;
+  FrozenFilterTables filters;
+  /// index i -> physical RPB id i+1
+  std::vector<std::shared_ptr<const FrozenRpbTable>> rpb_tables;
+  std::shared_ptr<const FrozenRecircTable> recirc;
+
+  /// Buckets this snapshot copied from the master tables, and buckets it
+  /// shares with `previous` (those of wholly shared tables included).
+  rmt::FreezeCounts buckets;
 };
 
 }  // namespace p4runpro::dp

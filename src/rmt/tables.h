@@ -7,12 +7,12 @@
 // priority-sorted at insert time so a lookup can stop at the first match,
 // mimicking the O(1) TCAM lookup without a full TCAM model.
 //
-// Concurrency: a table instance is NOT thread-safe for mutation. A frozen
-// instance (no insert/erase, e.g. inside a published dp::TableSnapshot) may
-// be read from many threads concurrently via the lookup overload that takes
-// an explicit TernaryTableStats sink (nullptr or a shard-local struct); the
-// default overload counts probes into a mutable member and must stay
-// single-threaded (see docs/ARCHITECTURE.md "Snapshot data plane").
+// Concurrency: a TernaryTable is NOT thread-safe for mutation, and its
+// default lookup overload counts probes into a mutable member. Concurrent
+// readers (the shard pipes) read a FrozenTernaryTable instead: the
+// immutable, publishable form of a table, which shares every bucket that did
+// not change with the previous frozen form of the same master table (see
+// docs/ARCHITECTURE.md "Snapshot data plane").
 #pragma once
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -57,6 +58,90 @@ struct TernaryTableStats {
   std::uint64_t erase_probes = 0;   ///< entries examined across all erases
   std::uint64_t erase_calls = 0;
 };
+
+/// Buckets a freeze copied from its master table, and buckets it took over
+/// from the previous frozen form (see FrozenTernaryTable::freeze).
+struct FreezeCounts {
+  std::size_t frozen = 0;
+  std::size_t shared = 0;
+};
+
+template <typename Action, int MaxWidth>
+class FrozenTernaryTable;
+
+namespace detail {
+
+/// Exact first keys below this bound live in a direct-indexed bucket
+/// array (program ids and ports are small dense integers — the common
+/// case — and a lookup then costs one bounds check instead of a hash
+/// probe); larger keys fall back to a hash map.
+inline constexpr Word kDenseFirstKeyLimit = 4096;
+
+template <typename Action, int MaxWidth>
+struct TernaryEntry {
+  std::array<TernaryKey, MaxWidth> keys;  // components [0, key_width)
+  int priority = 0;
+  EntryHandle handle = 0;
+  Action action{};
+};
+
+/// Entries sharing one exact first key (or the wildcard-first-key pool),
+/// sorted by (priority desc, handle asc) so the first match wins.
+template <typename Action, int MaxWidth>
+struct TernaryBucket {
+  std::vector<TernaryEntry<Action, MaxWidth>> entries;
+  std::uint32_t key_use = 0;  ///< OR of per-component mask!=0 over entries
+  /// Table generation of the last insert or erase in this bucket (0 = never
+  /// written). A frozen copy taken at table generation G still equals the
+  /// bucket iff stamp <= G.
+  std::uint64_t stamp = 0;
+};
+
+template <typename Action, int MaxWidth>
+[[nodiscard]] inline const TernaryEntry<Action, MaxWidth>* first_match(
+    const TernaryBucket<Action, MaxWidth>& bucket, std::span<const Word> fields,
+    int key_width, TernaryTableStats* stats) noexcept {
+  for (const auto& entry : bucket.entries) {
+    if (stats != nullptr) ++stats->lookup_probes;
+    bool hit = true;
+    for (int i = 0; i < key_width; ++i) {
+      if (!entry.keys[static_cast<std::size_t>(i)].matches(
+              fields[static_cast<std::size_t>(i)])) {
+        hit = false;
+        break;
+      }
+    }
+    // Entries are sorted (priority desc, handle asc): the first match is
+    // the bucket's winner.
+    if (hit) return &entry;
+  }
+  return nullptr;
+}
+
+/// The match and tie-break rule of every ternary table, master or frozen:
+/// the better of the first matches in the exact-first-key bucket and in
+/// the wildcard pool (either may be null). Higher priority wins; a tie goes
+/// to the earlier insertion (lower handle). Both helpers are declared
+/// `inline` so the compiler inlines them into every lookup: left out of
+/// line they cost the per-packet path a few percent.
+template <typename Action, int MaxWidth>
+[[nodiscard]] inline const TernaryEntry<Action, MaxWidth>* best_match(
+    const TernaryBucket<Action, MaxWidth>* exact,
+    const TernaryBucket<Action, MaxWidth>* wild, std::span<const Word> fields,
+    int key_width, TernaryTableStats* stats) noexcept {
+  const TernaryEntry<Action, MaxWidth>* best =
+      exact != nullptr ? first_match(*exact, fields, key_width, stats) : nullptr;
+  const TernaryEntry<Action, MaxWidth>* other =
+      wild != nullptr ? first_match(*wild, fields, key_width, stats) : nullptr;
+  if (other != nullptr &&
+      (best == nullptr || other->priority > best->priority ||
+       (other->priority == best->priority && other->handle < best->handle))) {
+    best = other;
+  }
+  return best;
+}
+
+}  // namespace detail
 
 /// Match-action table with ternary keys and an arbitrary action payload.
 /// Width (number of key components) is fixed per table; capacity models the
@@ -106,7 +191,7 @@ class TernaryTable {
     }
     locator_.emplace(handle, Locator{indexed, indexed ? keys[0].value : 0});
     ++size_;
-    ++generation_;
+    bucket.stamp = ++generation_;
     return handle;
   }
 
@@ -122,9 +207,10 @@ class TernaryTable {
     const auto loc = locator_.find(handle);
     if (loc == locator_.end()) return false;
     ++stats_.erase_calls;
+    ++generation_;
     if (loc->second.indexed) {
       const Word first_key = loc->second.first_key;
-      if (first_key < kDenseFirstKeyLimit) {
+      if (first_key < detail::kDenseFirstKeyLimit) {
         assert(first_key < dense_.size());
         erase_from(dense_[first_key], handle);
       } else {
@@ -138,7 +224,6 @@ class TernaryTable {
     }
     locator_.erase(loc);
     --size_;
-    ++generation_;
     return true;
   }
 
@@ -148,22 +233,11 @@ class TernaryTable {
     return lookup(fields, &stats_);
   }
 
-  /// Lookup with an explicit probe-counter sink. Concurrent readers of a
-  /// frozen table (the snapshot data plane) pass their own shard-local
-  /// stats or nullptr — the default overload's `mutable stats_` increment
-  /// would be a data race across shards.
+  /// Lookup with an explicit probe-counter sink (nullptr counts nothing).
   [[nodiscard]] const Action* lookup(std::span<const Word> fields,
                                      TernaryTableStats* stats) const noexcept {
-    const Entry* best = nullptr;
-    if (const Bucket* bucket = find_bucket(fields[0])) {
-      best = first_match(*bucket, fields, stats);
-    }
-    const Entry* wild = first_match(unindexed_, fields, stats);
-    if (wild != nullptr &&
-        (best == nullptr || wild->priority > best->priority ||
-         (wild->priority == best->priority && wild->handle < best->handle))) {
-      best = wild;
-    }
+    const Entry* best = detail::best_match(find_bucket(fields[0]), &unindexed_,
+                                           fields, key_width_, stats);
     return best == nullptr ? nullptr : &best->action;
   }
 
@@ -175,8 +249,9 @@ class TernaryTable {
   /// that could match a packet whose exact first key is `first_key`: the
   /// union over that bucket and all wildcard-first-key entries, as a bit per
   /// component index. Bit 0 set means some entry keys on component 0, etc.
-  /// Conservative upper bound (not recomputed when erase removes the last
-  /// user of a component — the generation bump already invalidates caches).
+  /// Exact after every insert and erase: erase recomputes the bucket's
+  /// summary from its surviving entries, and frozen forms copy the summary
+  /// with the bucket.
   [[nodiscard]] std::uint32_t key_use(Word first_key) const noexcept {
     std::uint32_t use = unindexed_.key_use;
     if (const Bucket* bucket = find_bucket(first_key)) use |= bucket->key_use;
@@ -192,40 +267,24 @@ class TernaryTable {
   void reset_stats() noexcept { stats_ = {}; }
 
  private:
-  struct Entry {
-    std::array<TernaryKey, MaxWidth> keys;  // components [0, key_width)
-    int priority = 0;
-    EntryHandle handle = 0;
-    Action action{};
-  };
-
-  /// Entries sharing one exact first key (or the wildcard-first-key pool),
-  /// sorted by (priority desc, handle asc) so the first match wins.
-  struct Bucket {
-    std::vector<Entry> entries;
-    std::uint32_t key_use = 0;  ///< OR of per-component mask!=0 over entries
-  };
+  friend class FrozenTernaryTable<Action, MaxWidth>;
+  using Entry = detail::TernaryEntry<Action, MaxWidth>;
+  using Bucket = detail::TernaryBucket<Action, MaxWidth>;
 
   struct Locator {
     bool indexed = false;
     Word first_key = 0;
   };
 
-  /// Exact first keys below this bound live in a direct-indexed bucket
-  /// array (program ids and ports are small dense integers — the common
-  /// case — and a lookup then costs one bounds check instead of a hash
-  /// probe); larger keys fall back to the hash map.
-  static constexpr Word kDenseFirstKeyLimit = 4096;
-
   [[nodiscard]] const Bucket* find_bucket(Word first_key) const noexcept {
     if (first_key < dense_.size()) return &dense_[first_key];
-    if (first_key < kDenseFirstKeyLimit) return nullptr;  // never populated
+    if (first_key < detail::kDenseFirstKeyLimit) return nullptr;  // never populated
     const auto it = indexed_.find(first_key);
     return it == indexed_.end() ? nullptr : &it->second;
   }
 
   [[nodiscard]] Bucket& bucket_for_insert(Word first_key) {
-    if (first_key < kDenseFirstKeyLimit) {
+    if (first_key < detail::kDenseFirstKeyLimit) {
       // Growing moves the Bucket objects but not their heap-allocated entry
       // storage, so cached Action pointers stay valid (and the generation
       // bump of this insert revalidates every cache anyway).
@@ -235,6 +294,8 @@ class TernaryTable {
     return indexed_[first_key];
   }
 
+  /// Erase `handle` from `bucket` and stamp the bucket with the current
+  /// generation (erase bumps it first).
   void erase_from(Bucket& bucket, EntryHandle handle) {
     const auto it = std::find_if(
         bucket.entries.begin(), bucket.entries.end(), [&](const Entry& e) {
@@ -243,6 +304,7 @@ class TernaryTable {
         });
     assert(it != bucket.entries.end());
     bucket.entries.erase(it);
+    bucket.stamp = generation_;
     // Recompute the component-use summary from the survivors (erase is the
     // control path; keeping the summary tight lets caches re-enable).
     bucket.key_use = 0;
@@ -251,26 +313,6 @@ class TernaryTable {
         if (e.keys[static_cast<std::size_t>(i)].mask != 0) bucket.key_use |= 1u << i;
       }
     }
-  }
-
-  [[nodiscard]] const Entry* first_match(const Bucket& bucket,
-                                         std::span<const Word> fields,
-                                         TernaryTableStats* stats) const noexcept {
-    for (const Entry& entry : bucket.entries) {
-      if (stats != nullptr) ++stats->lookup_probes;
-      bool hit = true;
-      for (int i = 0; i < key_width_; ++i) {
-        if (!entry.keys[static_cast<std::size_t>(i)].matches(
-                fields[static_cast<std::size_t>(i)])) {
-          hit = false;
-          break;
-        }
-      }
-      // Entries are sorted (priority desc, handle asc): the first match is
-      // the bucket's winner.
-      if (hit) return &entry;
-    }
-    return nullptr;
   }
 
   int key_width_;
@@ -283,6 +325,118 @@ class TernaryTable {
   std::unordered_map<EntryHandle, Locator> locator_;
   EntryHandle next_handle_ = 1;
   mutable TernaryTableStats stats_;
+};
+
+/// Immutable, publishable form of a TernaryTable: what a dp::TableSnapshot
+/// holds and shard pipes read concurrently. Buckets are held as
+/// shared_ptr<const>, so successive frozen forms of one master table share
+/// every bucket no insert or erase touched in between. A frozen table is
+/// never erased from, so it keeps no handle locator. Lookups run the same
+/// match and tie-break helper as the master table and write no shared state.
+template <typename Action, int MaxWidth = kMaxTernaryKeyWidth>
+class FrozenTernaryTable {
+ public:
+  using Master = TernaryTable<Action, MaxWidth>;
+  using Bucket = detail::TernaryBucket<Action, MaxWidth>;
+
+  /// Freeze `master`. `previous` is null or a frozen form of the same master
+  /// table: each bucket whose stamp has not moved past `previous`'s
+  /// generation is shared with it instead of copied, and when the master's
+  /// generation has not moved at all, `previous` itself is returned.
+  /// `counts` accumulates the copied and the shared buckets.
+  [[nodiscard]] static std::shared_ptr<const FrozenTernaryTable> freeze(
+      const Master& master, const std::shared_ptr<const FrozenTernaryTable>& previous,
+      FreezeCounts& counts) {
+    if (previous != nullptr && previous->generation_ == master.generation_) {
+      counts.shared += previous->buckets_;
+      return previous;
+    }
+    return std::shared_ptr<const FrozenTernaryTable>(
+        new FrozenTernaryTable(master, previous.get(), counts));
+  }
+
+  /// Highest-priority matching action, or nullptr on miss. Counts no probes:
+  /// many shards read one frozen table concurrently.
+  [[nodiscard]] const Action* lookup(std::span<const Word> fields) const noexcept {
+    const auto* best = detail::best_match(find_bucket(fields[0]), unindexed_.get(),
+                                          fields, key_width_, nullptr);
+    return best == nullptr ? nullptr : &best->action;
+  }
+
+  /// TernaryTable::key_use as of the freeze.
+  [[nodiscard]] std::uint32_t key_use(Word first_key) const noexcept {
+    std::uint32_t use = unindexed_ != nullptr ? unindexed_->key_use : 0;
+    if (const Bucket* bucket = find_bucket(first_key)) use |= bucket->key_use;
+    return use;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] int key_width() const noexcept { return key_width_; }
+  /// Non-empty buckets held: exact-first-key buckets plus the wildcard pool.
+  [[nodiscard]] std::size_t buckets() const noexcept { return buckets_; }
+
+  /// The bucket of exact first key `first_key`, or nullptr when it is empty.
+  /// Pointer identity across frozen forms tells shared from copied buckets.
+  [[nodiscard]] const Bucket* bucket(Word first_key) const noexcept {
+    return find_bucket(first_key);
+  }
+  /// The wildcard-first-key pool, or nullptr when it is empty.
+  [[nodiscard]] const Bucket* wildcard_bucket() const noexcept { return unindexed_.get(); }
+
+ private:
+  using BucketPtr = std::shared_ptr<const Bucket>;
+
+  FrozenTernaryTable(const Master& master, const FrozenTernaryTable* previous,
+                     FreezeCounts& counts)
+      : key_width_(master.key_width_),
+        size_(master.size_),
+        generation_(master.generation_) {
+    // `old` is previous's bucket for the same first key (or null). It is
+    // still exact iff no insert or erase stamped the master bucket after
+    // previous was frozen.
+    const auto take = [&](const Bucket& bucket, const BucketPtr* old) -> BucketPtr {
+      if (bucket.entries.empty()) return nullptr;
+      ++buckets_;
+      if (old != nullptr && *old != nullptr && bucket.stamp <= previous->generation_) {
+        ++counts.shared;
+        return *old;
+      }
+      ++counts.frozen;
+      return std::make_shared<Bucket>(bucket);
+    };
+    dense_.reserve(master.dense_.size());
+    for (std::size_t key = 0; key < master.dense_.size(); ++key) {
+      const BucketPtr* old = previous != nullptr && key < previous->dense_.size()
+                                 ? &previous->dense_[key]
+                                 : nullptr;
+      dense_.push_back(take(master.dense_[key], old));
+    }
+    for (const auto& [key, bucket] : master.indexed_) {
+      const BucketPtr* old = nullptr;
+      if (previous != nullptr) {
+        const auto it = previous->indexed_.find(key);
+        if (it != previous->indexed_.end()) old = &it->second;
+      }
+      if (BucketPtr frozen = take(bucket, old)) indexed_.emplace(key, std::move(frozen));
+    }
+    unindexed_ =
+        take(master.unindexed_, previous != nullptr ? &previous->unindexed_ : nullptr);
+  }
+
+  [[nodiscard]] const Bucket* find_bucket(Word first_key) const noexcept {
+    if (first_key < dense_.size()) return dense_[first_key].get();
+    if (first_key < detail::kDenseFirstKeyLimit) return nullptr;
+    const auto it = indexed_.find(first_key);
+    return it == indexed_.end() ? nullptr : it->second.get();
+  }
+
+  int key_width_;
+  std::size_t size_;
+  std::uint64_t generation_;  ///< the master's generation at the freeze
+  std::size_t buckets_ = 0;
+  std::vector<BucketPtr> dense_;  ///< index = exact first key; null = empty
+  std::unordered_map<Word, BucketPtr> indexed_;
+  BucketPtr unindexed_;
 };
 
 }  // namespace p4runpro::rmt
