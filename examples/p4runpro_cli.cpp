@@ -222,8 +222,8 @@ int main() {
         std::printf("%s (port %u), value 0x%x\n", fate, result.egress_port,
                     result.packet.app ? result.packet.app->value : 0);
         if (cmd == "trace") {
-          for (const auto& line : dataplane.pipeline().last_trace()) {
-            std::printf("  %s\n", line.c_str());
+          for (const auto& event : dataplane.pipeline().last_trace_events()) {
+            std::printf("  %s\n", rmt::render_trace(event).c_str());
           }
           dataplane.pipeline().set_tracing(false);
         }

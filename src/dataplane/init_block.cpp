@@ -104,7 +104,6 @@ void InitBlock::process(rmt::Phv& phv) {
       l4_src,
       l4_dst,
       pkt.eth.ether_type};
-  // A bound frozen table counts no probes (it is shared across shards).
   const ProgramId* program =
       bound_ != nullptr ? (*bound_)[static_cast<std::size_t>(path)]->lookup(fields)
                         : tables_[static_cast<std::size_t>(path)].lookup(fields);
@@ -112,9 +111,6 @@ void InitBlock::process(rmt::Phv& phv) {
     phv.program_id = *program;
     if (*program < claimed_.size()) {
       claimed_[*program].fetch_add(1, std::memory_order_relaxed);
-    }
-    if (phv.trace != nullptr) {
-      phv.trace->push_back("init: claimed by program " + std::to_string(*program));
     }
     if (phv.trace_events != nullptr) {
       rmt::TraceEvent event;

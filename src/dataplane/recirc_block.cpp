@@ -10,17 +10,12 @@ void RecircBlock::process(rmt::Phv& phv) {
   if (phv.program_id == 0) return;
   const std::array<Word, 2> fields = {static_cast<Word>(phv.program_id),
                                       static_cast<Word>(phv.recirc_id)};
-  // Single-pass deployments leave the table empty: skip the lookup. A bound
-  // frozen table counts no probes (it is shared across shards).
+  // Single-pass deployments leave the table empty: skip the lookup.
   const bool hit = bound_ != nullptr
                        ? bound_->size() != 0 && bound_->lookup(fields) != nullptr
                        : table_.size() != 0 && table_.lookup(fields) != nullptr;
   if (hit) {
     phv.recirculate = true;
-    if (phv.trace != nullptr) {
-      phv.trace->push_back("recirc: another round (r" +
-                           std::to_string(phv.recirc_id + 1) + ")");
-    }
     if (phv.trace_events != nullptr) {
       rmt::TraceEvent event;
       event.block = rmt::TraceEvent::Block::Recirc;

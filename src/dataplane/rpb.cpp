@@ -30,44 +30,12 @@ Rpb::Rpb(int physical_id, bool ingress, std::uint32_t memory_size,
 void Rpb::process(rmt::Phv& phv) {
   if (phv.program_id == 0) return;  // no program claimed this packet
 
-  const bool bound = bound_ != nullptr;
-  // Provisioned-but-unused stage: nothing can match. Skip the cache and
-  // lookup machinery but keep the per-stage miss accounting identical.
-  if (read_size() == 0) {
-    if (stats_ != nullptr) ++stats_->table_misses;
-    ++phv.pkt_table_misses;
-    return;
-  }
-
-  // Match cache: the winning entry for a (program, branch, recirc) triple
-  // is a pure function of the triple unless some candidate entry keys on
-  // the Har/Sar/Mar registers. Serve repeats from the cache; revalidate
-  // against the table generation (master path) or the bound snapshot's
-  // never-repeating epoch (sharded path) so entry churn and snapshot swaps
-  // both invalidate instantly and a stale slot can never resurrect a
-  // pointer into a superseded snapshot.
-  const std::uint64_t tag = bound ? bound_epoch_ : table_.generation();
-  const std::uint64_t key = cache_key(phv.program_id, phv.branch_id, phv.recirc_id);
-  CacheSlot& slot = match_cache_[cache_slot_index(key)];
-  const RpbAction* action;
-  if (slot.tag == tag && slot.key == key) {
-    action = slot.action;
-    ++match_cache_hits_;
-    if (stats_ != nullptr) ++stats_->match_cache_hits;
-  } else {
-    const std::array<Word, kRpbKeyWidth> fields = {
-        static_cast<Word>(phv.program_id), static_cast<Word>(phv.branch_id),
-        static_cast<Word>(phv.recirc_id),  phv.reg(Reg::Har),
-        phv.reg(Reg::Sar),                 phv.reg(Reg::Mar)};
-    // The master table counts probes; a frozen (snapshot) table, shared
-    // across shards, counts nothing.
-    action = bound ? bound_->lookup(fields) : table_.lookup(fields);
-    const std::uint32_t key_use =
-        bound ? bound_->key_use(phv.program_id) : table_.key_use(phv.program_id);
-    if ((key_use & kRegisterKeyMask) == 0) {
-      slot = CacheSlot{tag, key, action};
-    }
-  }
+  const std::array<Word, kRpbKeyWidth> fields = {
+      static_cast<Word>(phv.program_id), static_cast<Word>(phv.branch_id),
+      static_cast<Word>(phv.recirc_id),  phv.reg(Reg::Har),
+      phv.reg(Reg::Sar),                 phv.reg(Reg::Mar)};
+  const RpbAction* action =
+      bound_ != nullptr ? bound_->lookup(fields) : table_.lookup(fields);
   if (action == nullptr) {
     if (stats_ != nullptr) ++stats_->table_misses;
     ++phv.pkt_table_misses;
@@ -82,14 +50,6 @@ void Rpb::process(rmt::Phv& phv) {
   }
   ++phv.pkt_table_hits;
   if (action->op.kind == OpKind::Mem) ++phv.pkt_salu_execs;
-  if (phv.trace != nullptr) {
-    phv.trace->push_back("RPB" + std::to_string(physical_id_) + " r" +
-                         std::to_string(phv.recirc_id) + " b" +
-                         std::to_string(phv.branch_id) + ": " + action->op.str() +
-                         (action->next_branch
-                              ? " -> b" + std::to_string(*action->next_branch)
-                              : ""));
-  }
   if (phv.trace_events != nullptr) {
     rmt::TraceEvent event;
     event.block = rmt::TraceEvent::Block::Rpb;

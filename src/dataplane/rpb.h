@@ -5,7 +5,6 @@
 // hash unit.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -64,18 +63,9 @@ class Rpb final : public rmt::PipelineStage {
   RpbTable& table() noexcept { return table_; }
   [[nodiscard]] const RpbTable& table() const noexcept { return table_; }
 
-  /// Redirect match lookups to a frozen snapshot table, tagged with the
-  /// snapshot's globally unique epoch (nullptr/0 = back to the own table).
-  /// Shard instances are re-bound at every batch start. The epoch becomes
-  /// the match-cache validity tag: epochs never repeat, so a cache slot
-  /// filled against a superseded snapshot can never validate again — a
-  /// per-table generation could collide across snapshots whose OTHER
-  /// tables differ, and the cached action pointer would dangle into freed
-  /// snapshot storage.
-  void bind_table(const FrozenRpbTable* table, std::uint64_t epoch) noexcept {
-    bound_ = table;
-    bound_epoch_ = epoch;
-  }
+  /// Redirect match lookups to a frozen snapshot table (nullptr = back to
+  /// the own table). Shard instances are re-bound at every batch start.
+  void bind_table(const FrozenRpbTable* table) noexcept { bound_ = table; }
 
   /// Entries in the table lookups currently read from: the bound snapshot
   /// table when sharded, the own/master table otherwise.
@@ -94,58 +84,16 @@ class Rpb final : public rmt::PipelineStage {
   /// by the data plane at provisioning time.
   void set_stage_stats(rmt::StageStats* stats) noexcept { stats_ = stats; }
 
-  /// Packets whose winning entry was served from the match cache since
-  /// provisioning (also mirrored into StageStats::match_cache_hits).
-  [[nodiscard]] std::uint64_t match_cache_hits() const noexcept {
-    return match_cache_hits_;
-  }
-
  private:
   void execute(const AtomicOp& op, rmt::Phv& phv);
-
-  /// Direct-mapped match cache over the (program, branch, recirc) control
-  /// flags. A cached winner is valid only while the validity tag is
-  /// unchanged AND no entry that could match the program keys on the
-  /// Har/Sar/Mar components (checked via key_use at fill time), so
-  /// conditional-branch and register-keyed programs stay exact. Misses
-  /// (nullptr winners) are cached too under the same validity rule.
-  /// The tag is the own table's generation on the master path and the
-  /// bound snapshot's epoch on the sharded path (see bind_table).
-  struct CacheSlot {
-    std::uint64_t tag = 0;  ///< 0 = empty (generations and epochs start at 1)
-    std::uint64_t key = 0;  ///< packed (program, branch, recirc) triple
-    const RpbAction* action = nullptr;
-  };
-  static constexpr std::size_t kMatchCacheSlots = 64;  // power of two
-  static constexpr std::uint32_t kRegisterKeyMask =
-      (1u << kKeyHar) | (1u << kKeySar) | (1u << kKeyMar);
-
-  /// The (program, branch, recirc) control flags packed into one word so a
-  /// cache probe is a single compare (ids are 16/16/8 bits).
-  [[nodiscard]] static std::uint64_t cache_key(ProgramId program, BranchId branch,
-                                               RecircId recirc) noexcept {
-    return (static_cast<std::uint64_t>(program) << 32) |
-           (static_cast<std::uint64_t>(branch) << 8) |
-           static_cast<std::uint64_t>(recirc);
-  }
-
-  [[nodiscard]] static std::size_t cache_slot_index(std::uint64_t key) noexcept {
-    const std::uint32_t h =
-        static_cast<std::uint32_t>(key >> 32) * 0x9e3779b1u ^
-        static_cast<std::uint32_t>(key);
-    return (h ^ (h >> 16)) & (kMatchCacheSlots - 1);
-  }
 
   int physical_id_;
   bool ingress_;
   RpbTable table_;
   const FrozenRpbTable* bound_ = nullptr;
-  std::uint64_t bound_epoch_ = 0;
   rmt::StageMemory memory_;
   rmt::HashAlgo hash16_;
   rmt::StageStats* stats_ = nullptr;
-  std::array<CacheSlot, kMatchCacheSlots> match_cache_{};
-  std::uint64_t match_cache_hits_ = 0;
 };
 
 }  // namespace p4runpro::dp

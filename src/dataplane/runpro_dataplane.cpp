@@ -82,7 +82,7 @@ RunproDataplane::PipeShard::PipeShard(const DataplaneSpec& spec,
 void RunproDataplane::PipeShard::bind(const TableSnapshot& snap) {
   init->bind_tables(&snap.filters);
   for (std::size_t i = 0; i < rpbs.size(); ++i) {
-    rpbs[i]->bind_table(snap.rpb_tables[i].get(), snap.epoch);
+    rpbs[i]->bind_table(snap.rpb_tables[i].get());
   }
   recirc->bind_table(snap.recirc.get());
   // The observation stamp travels inside the snapshot; mirror it into this

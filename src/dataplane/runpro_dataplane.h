@@ -4,7 +4,7 @@
 //
 // Sharded multi-pipe mode (off by default): enable_sharding(N) models an
 // N-pipe switch. Each shard is a full extra pipeline (own register memory,
-// match caches, ports, claim counters — the hardware's pipe-local state)
+// ports, claim counters — the hardware's pipe-local state)
 // whose match tables are re-bound at every batch start to the current
 // immutable TableSnapshot published through the SnapshotHub. The master
 // blocks stay the control plane's mutable copy: apply/undo and the rollback
@@ -146,9 +146,9 @@ class RunproDataplane {
 
  private:
   /// One hardware pipe: a full pipeline with its own blocks. The blocks'
-  /// mutable state (register memory, claim counters, match caches, port
-  /// counters) is pipe-local; their match tables are bound per batch to
-  /// the acquired snapshot and never consulted unbound.
+  /// mutable state (register memory, claim counters, port counters) is
+  /// pipe-local; their match tables are bound per batch to the acquired
+  /// snapshot and never consulted unbound.
   struct PipeShard {
     PipeShard(const DataplaneSpec& spec, rmt::ParserConfig parser_config);
     void bind(const TableSnapshot& snap);

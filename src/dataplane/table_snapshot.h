@@ -4,15 +4,15 @@
 //   - the five init-block filtering tables (packet -> program claim),
 //   - every RPB's match-action table (compiled ternary buckets, priorities,
 //     action bindings — the RpbAction payloads live inside the frozen
-//     buckets, so cached action pointers stay valid for the snapshot's
-//     whole grace period),
+//     buckets, so a looked-up action pointer stays valid while the batch
+//     that looked it up holds the snapshot),
 //   - the recirculation table,
 //   - the table trace id / generation of the control operation that
 //     produced it (satellite of note_table_update: the values travel with
 //     the snapshot, so a packet observation always names the exact table
 //     state it matched against, never a racy pipeline member).
-// Register memory, counters and match caches are NOT part of a snapshot:
-// they are per-shard mutable state (one StageMemory per pipe per stage).
+// Register memory and counters are NOT part of a snapshot: they are
+// per-shard mutable state (one StageMemory per pipe per stage).
 //
 // Tables are rmt::FrozenTernaryTable: a snapshot built against the previous
 // one shares with it every table whose generation did not move and, in the
@@ -45,8 +45,7 @@ struct TableSnapshot {
                 std::uint64_t generation, const TableSnapshot* previous = nullptr);
 
   /// Unique, monotonically increasing publish id, assigned by the hub at
-  /// publish time (0 = never published). Epochs never repeat, which is what
-  /// makes them safe match-cache validity tags across snapshot swaps.
+  /// publish time (0 = never published).
   std::uint64_t epoch = 0;
 
   /// Causal trace id of the control operation whose tables these are, and

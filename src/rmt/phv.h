@@ -16,10 +16,9 @@
 
 namespace p4runpro::rmt {
 
-/// One structured execution-trace event (the machine-readable counterpart
-/// of the string trace lines): which block acted, at which stage / round /
-/// branch, and what it executed. Tests and tools should match on these
-/// fields instead of substrings of the rendered text.
+/// One structured execution-trace event: which block acted, at which stage /
+/// round / branch, and what it executed. Tests and tools should match on
+/// these fields instead of substrings of the rendered text (render_trace).
 struct TraceEvent {
   enum class Block : std::uint8_t { Parser, Init, Rpb, Recirc };
   Block block = Block::Parser;
@@ -95,10 +94,8 @@ struct Phv {
   Word mcast_group = 0;  ///< multicast group id for FwdDecision::Multicast
   bool recirculate = false;  ///< set by the recirculation block
 
-  /// Optional execution-trace sinks (debugging, see Pipeline::set_tracing):
-  /// blocks append one rendered line and one structured event per executed
-  /// operation. Both are set together by the pipeline.
-  std::vector<std::string>* trace = nullptr;
+  /// Optional execution-trace sink (debugging, see Pipeline::set_tracing):
+  /// blocks append one structured event per executed operation.
   std::vector<TraceEvent>* trace_events = nullptr;
 
   [[nodiscard]] Word reg(Reg r) const noexcept {

@@ -12,6 +12,28 @@ namespace {
 constexpr std::size_t kNumPorts = 256;
 }
 
+std::string render_trace(const TraceEvent& event) {
+  switch (event.block) {
+    case TraceEvent::Block::Parser: {
+      char line[64];
+      std::snprintf(line, sizeof line, "parser: bitmap=0b%u%u%u%u%u",
+                    (event.value >> 4) & 1u, (event.value >> 3) & 1u,
+                    (event.value >> 2) & 1u, (event.value >> 1) & 1u,
+                    event.value & 1u);
+      return line;
+    }
+    case TraceEvent::Block::Init:
+      return "init: claimed by program " + std::to_string(event.value);
+    case TraceEvent::Block::Rpb:
+      return "RPB" + std::to_string(event.stage) + " r" + std::to_string(event.round) +
+             " b" + std::to_string(event.branch) + ": " + event.op +
+             (event.next_branch ? " -> b" + std::to_string(*event.next_branch) : "");
+    case TraceEvent::Block::Recirc:
+      return "recirc: another round (r" + std::to_string(event.value) + ")";
+  }
+  return {};
+}
+
 Pipeline::Pipeline(ParserConfig parser_config, int max_recirculations)
     : parser_(std::move(parser_config)),
       max_recirculations_(max_recirculations),
@@ -38,7 +60,6 @@ void Pipeline::attach_telemetry(obs::Telemetry* telemetry) {
   probe("rmt.stage.table_hits", &stage_stats_.table_hits);
   probe("rmt.stage.table_misses", &stage_stats_.table_misses);
   probe("rmt.stage.salu_execs", &stage_stats_.salu_execs);
-  probe("rmt.stage.match_cache_hits", &stage_stats_.match_cache_hits);
   m.register_probe("rmt.pipeline.cpu_queue_depth", this,
                    [this] { return static_cast<double>(cpu_queue_.size()); });
 }
@@ -48,20 +69,12 @@ Phv Pipeline::parse_packet(const Packet& pkt) {
   Phv phv = parser_.parse(pkt);
   phv.qdepth = qdepth_;
   if (tracing_) {
-    trace_.clear();
     trace_events_.clear();
-    char line[64];
-    std::snprintf(line, sizeof line, "parser: bitmap=0b%u%u%u%u%u",
-                  (phv.parse_bitmap >> 4) & 1, (phv.parse_bitmap >> 3) & 1,
-                  (phv.parse_bitmap >> 2) & 1, (phv.parse_bitmap >> 1) & 1,
-                  phv.parse_bitmap & 1);
-    trace_.push_back(line);
     TraceEvent event;
     event.block = TraceEvent::Block::Parser;
     event.op = "parse";
     event.value = phv.parse_bitmap;
     trace_events_.push_back(std::move(event));
-    phv.trace = &trace_;
     phv.trace_events = &trace_events_;
   }
   return phv;

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "rmt/parser.h"
@@ -59,10 +60,6 @@ struct StageStats {
   std::uint64_t table_hits = 0;
   std::uint64_t table_misses = 0;
   std::uint64_t salu_execs = 0;
-  /// Lookups served from an RPB's (program, branch, recirc) match cache
-  /// instead of a full table scan (hits and misses both count as their
-  /// respective table_* outcome as well).
-  std::uint64_t match_cache_hits = 0;
 };
 
 /// Summary of one completed packet (all recirculation passes included),
@@ -103,6 +100,11 @@ class PacketObserver {
   [[nodiscard]] virtual bool sample_packet() = 0;
   virtual void on_packet(const PacketObservation& obs) = 0;
 };
+
+/// One trace event as a human-readable line, e.g. "parser: bitmap=0b11101",
+/// "init: claimed by program 1", "RPB4 r0 b0: BRANCH -> b1" or
+/// "recirc: another round (r1)".
+[[nodiscard]] std::string render_trace(const TraceEvent& event);
 
 class Pipeline {
  public:
@@ -169,14 +171,9 @@ class Pipeline {
   PassResult process_pass(Phv& phv);
 
   /// Per-packet execution tracing (debugging): when enabled, every block
-  /// appends one line per executed operation; read the last packet's trace
-  /// with last_trace(), or its structured form with last_trace_events().
+  /// records one TraceEvent per executed operation; read the last traced
+  /// packet's events with last_trace_events() (render_trace() prints them).
   void set_tracing(bool enabled) noexcept { tracing_ = enabled; }
-  [[nodiscard]] const std::vector<std::string>& last_trace() const noexcept {
-    return trace_;
-  }
-  /// Machine-readable trace of the last traced packet, parallel to
-  /// last_trace(); prefer this over substring-matching the rendered lines.
   [[nodiscard]] const std::vector<TraceEvent>& last_trace_events() const noexcept {
     return trace_events_;
   }
@@ -281,7 +278,6 @@ class Pipeline {
   Word qdepth_ = 0;
 
   bool tracing_ = false;
-  std::vector<std::string> trace_;
   std::vector<TraceEvent> trace_events_;
   std::vector<PortCounters> ports_;
   std::vector<Packet> cpu_queue_;

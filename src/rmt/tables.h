@@ -7,12 +7,12 @@
 // priority-sorted at insert time so a lookup can stop at the first match,
 // mimicking the O(1) TCAM lookup without a full TCAM model.
 //
-// Concurrency: a TernaryTable is NOT thread-safe for mutation, and its
-// default lookup overload counts probes into a mutable member. Concurrent
-// readers (the shard pipes) read a FrozenTernaryTable instead: the
-// immutable, publishable form of a table, which shares every bucket that did
-// not change with the previous frozen form of the same master table (see
-// docs/ARCHITECTURE.md "Snapshot data plane").
+// Concurrency: a TernaryTable is NOT thread-safe for mutation; its lookups
+// write nothing. Concurrent readers (the shard pipes) read a
+// FrozenTernaryTable instead: the immutable, publishable form of a table,
+// which shares every bucket that did not change with the previous frozen
+// form of the same master table (see docs/ARCHITECTURE.md "Snapshot data
+// plane").
 #pragma once
 
 #include <algorithm>
@@ -50,12 +50,10 @@ using EntryHandle = std::uint64_t;
 /// kFilterKeyWidth = 7). The default inline key capacity of TernaryTable.
 inline constexpr int kMaxTernaryKeyWidth = 8;
 
-/// Hot-path instrumentation of a table: entries examined by lookups and by
-/// erases. The erase counters are what the regression tests use to prove
+/// Erase instrumentation of a table: what the regression tests use to prove
 /// that erase touches only the owning bucket (not every bucket).
 struct TernaryTableStats {
-  std::uint64_t lookup_probes = 0;  ///< entries examined across all lookups
-  std::uint64_t erase_probes = 0;   ///< entries examined across all erases
+  std::uint64_t erase_probes = 0;  ///< entries examined across all erases
   std::uint64_t erase_calls = 0;
 };
 
@@ -90,7 +88,6 @@ struct TernaryEntry {
 template <typename Action, int MaxWidth>
 struct TernaryBucket {
   std::vector<TernaryEntry<Action, MaxWidth>> entries;
-  std::uint32_t key_use = 0;  ///< OR of per-component mask!=0 over entries
   /// Table generation of the last insert or erase in this bucket (0 = never
   /// written). A frozen copy taken at table generation G still equals the
   /// bucket iff stamp <= G.
@@ -100,9 +97,8 @@ struct TernaryBucket {
 template <typename Action, int MaxWidth>
 [[nodiscard]] inline const TernaryEntry<Action, MaxWidth>* first_match(
     const TernaryBucket<Action, MaxWidth>& bucket, std::span<const Word> fields,
-    int key_width, TernaryTableStats* stats) noexcept {
+    int key_width) noexcept {
   for (const auto& entry : bucket.entries) {
-    if (stats != nullptr) ++stats->lookup_probes;
     bool hit = true;
     for (int i = 0; i < key_width; ++i) {
       if (!entry.keys[static_cast<std::size_t>(i)].matches(
@@ -128,11 +124,11 @@ template <typename Action, int MaxWidth>
 [[nodiscard]] inline const TernaryEntry<Action, MaxWidth>* best_match(
     const TernaryBucket<Action, MaxWidth>* exact,
     const TernaryBucket<Action, MaxWidth>* wild, std::span<const Word> fields,
-    int key_width, TernaryTableStats* stats) noexcept {
+    int key_width) noexcept {
   const TernaryEntry<Action, MaxWidth>* best =
-      exact != nullptr ? first_match(*exact, fields, key_width, stats) : nullptr;
+      exact != nullptr ? first_match(*exact, fields, key_width) : nullptr;
   const TernaryEntry<Action, MaxWidth>* other =
-      wild != nullptr ? first_match(*wild, fields, key_width, stats) : nullptr;
+      wild != nullptr ? first_match(*wild, fields, key_width) : nullptr;
   if (other != nullptr &&
       (best == nullptr || other->priority > best->priority ||
        (other->priority == best->priority && other->handle < best->handle))) {
@@ -184,11 +180,6 @@ class TernaryTable {
         bucket.entries.begin(), bucket.entries.end(),
         [priority](const Entry& e) { return e.priority >= priority; });
     bucket.entries.insert(pos, std::move(entry));
-    for (int i = 0; i < key_width_; ++i) {
-      if (keys[static_cast<std::size_t>(i)].mask != 0) {
-        bucket.key_use |= 1u << i;
-      }
-    }
     locator_.emplace(handle, Locator{indexed, indexed ? keys[0].value : 0});
     ++size_;
     bucket.stamp = ++generation_;
@@ -228,34 +219,11 @@ class TernaryTable {
   }
 
   /// Highest-priority matching action, or nullptr on miss. The returned
-  /// pointer stays valid until the next insert/erase (generation bump).
+  /// pointer stays valid until the next insert/erase.
   [[nodiscard]] const Action* lookup(std::span<const Word> fields) const noexcept {
-    return lookup(fields, &stats_);
-  }
-
-  /// Lookup with an explicit probe-counter sink (nullptr counts nothing).
-  [[nodiscard]] const Action* lookup(std::span<const Word> fields,
-                                     TernaryTableStats* stats) const noexcept {
-    const Entry* best = detail::best_match(find_bucket(fields[0]), &unindexed_,
-                                           fields, key_width_, stats);
+    const Entry* best =
+        detail::best_match(find_bucket(fields[0]), &unindexed_, fields, key_width_);
     return best == nullptr ? nullptr : &best->action;
-  }
-
-  /// Monotonic counter bumped by every insert/erase; consumers caching
-  /// lookup results (the RPB match cache) revalidate against it.
-  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
-
-  /// Which key components are actually keyed on (nonzero mask) by any entry
-  /// that could match a packet whose exact first key is `first_key`: the
-  /// union over that bucket and all wildcard-first-key entries, as a bit per
-  /// component index. Bit 0 set means some entry keys on component 0, etc.
-  /// Exact after every insert and erase: erase recomputes the bucket's
-  /// summary from its surviving entries, and frozen forms copy the summary
-  /// with the bucket.
-  [[nodiscard]] std::uint32_t key_use(Word first_key) const noexcept {
-    std::uint32_t use = unindexed_.key_use;
-    if (const Bucket* bucket = find_bucket(first_key)) use |= bucket->key_use;
-    return use;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -285,9 +253,6 @@ class TernaryTable {
 
   [[nodiscard]] Bucket& bucket_for_insert(Word first_key) {
     if (first_key < detail::kDenseFirstKeyLimit) {
-      // Growing moves the Bucket objects but not their heap-allocated entry
-      // storage, so cached Action pointers stay valid (and the generation
-      // bump of this insert revalidates every cache anyway).
       if (dense_.size() <= first_key) dense_.resize(first_key + 1u);
       return dense_[first_key];
     }
@@ -305,26 +270,18 @@ class TernaryTable {
     assert(it != bucket.entries.end());
     bucket.entries.erase(it);
     bucket.stamp = generation_;
-    // Recompute the component-use summary from the survivors (erase is the
-    // control path; keeping the summary tight lets caches re-enable).
-    bucket.key_use = 0;
-    for (const Entry& e : bucket.entries) {
-      for (int i = 0; i < key_width_; ++i) {
-        if (e.keys[static_cast<std::size_t>(i)].mask != 0) bucket.key_use |= 1u << i;
-      }
-    }
   }
 
   int key_width_;
   std::size_t capacity_;
   std::size_t size_ = 0;
-  std::uint64_t generation_ = 1;
+  std::uint64_t generation_ = 1;  ///< bumped by every insert and erase
   std::vector<Bucket> dense_;  ///< buckets for first keys < kDenseFirstKeyLimit
   std::unordered_map<Word, Bucket> indexed_;  ///< buckets for large first keys
   Bucket unindexed_;
   std::unordered_map<EntryHandle, Locator> locator_;
   EntryHandle next_handle_ = 1;
-  mutable TernaryTableStats stats_;
+  TernaryTableStats stats_;
 };
 
 /// Immutable, publishable form of a TernaryTable: what a dp::TableSnapshot
@@ -355,19 +312,11 @@ class FrozenTernaryTable {
         new FrozenTernaryTable(master, previous.get(), counts));
   }
 
-  /// Highest-priority matching action, or nullptr on miss. Counts no probes:
-  /// many shards read one frozen table concurrently.
+  /// Highest-priority matching action, or nullptr on miss.
   [[nodiscard]] const Action* lookup(std::span<const Word> fields) const noexcept {
     const auto* best = detail::best_match(find_bucket(fields[0]), unindexed_.get(),
-                                          fields, key_width_, nullptr);
+                                          fields, key_width_);
     return best == nullptr ? nullptr : &best->action;
-  }
-
-  /// TernaryTable::key_use as of the freeze.
-  [[nodiscard]] std::uint32_t key_use(Word first_key) const noexcept {
-    std::uint32_t use = unindexed_ != nullptr ? unindexed_->key_use : 0;
-    if (const Bucket* bucket = find_bucket(first_key)) use |= bucket->key_use;
-    return use;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }

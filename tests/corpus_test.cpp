@@ -23,14 +23,8 @@ std::string read_file(const std::filesystem::path& path) {
 }
 
 std::filesystem::path corpus_dir() {
-  // Tests run from the build tree; the corpus lives in the source tree.
-  for (auto dir = std::filesystem::current_path();
-       dir != dir.root_path(); dir = dir.parent_path()) {
-    if (std::filesystem::exists(dir / "programs" / "cache.p4rp")) {
-      return dir / "programs";
-    }
-  }
-  return "programs";
+  // The corpus lives in the source tree, wherever the tests are built or run.
+  return std::filesystem::path(P4RUNPRO_SOURCE_DIR) / "programs";
 }
 
 class CorpusTest : public ::testing::TestWithParam<const char*> {};

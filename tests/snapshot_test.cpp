@@ -442,7 +442,7 @@ std::vector<std::vector<Word>> probe_fields(int key_width,
 }
 
 /// Every table of `published` answers every probe, and reports the same
-/// size and key-use summaries, exactly like the same table of `scratch`.
+/// size, exactly like the same table of `scratch`.
 void expect_same_lookups(const dp::TableSnapshot& published,
                          const dp::TableSnapshot& scratch,
                          const std::vector<ProgramId>& programs,
@@ -459,11 +459,6 @@ void expect_same_lookups(const dp::TableSnapshot& published,
       const std::string got = describe(a.lookup(f));
       const std::string want = describe(b.lookup(f));
       if (got != want && mismatches++ == 0) first = got + " vs " + want;
-    }
-    for (const ProgramId program : programs) {
-      if (a.key_use(program) != b.key_use(program) && mismatches++ == 0) {
-        first = "key_use of program " + std::to_string(program);
-      }
     }
     EXPECT_EQ(mismatches, 0) << where << ", table " << index << ": first mismatch "
                              << first;
@@ -538,11 +533,10 @@ TEST(SnapshotFrozenTable, IncrementalFreezeMatchesMasterUnderChurn) {
       EXPECT_EQ(shared, counts.shared) << "round " << round;
     }
     for (const Word key : first_keys) {
-      if (master.key_use(key) != frozen->key_use(key)) ++mismatches;
       for (Word a = 0; a < 4; ++a) {
         for (Word b = 0; b < 4; ++b) {
           const std::array<Word, 3> fields = {key, a, b};
-          const int* want = master.lookup(fields, nullptr);
+          const int* want = master.lookup(fields);
           const int* got = frozen->lookup(fields);
           const int* from_scratch = scratch->lookup(fields);
           const int w = want != nullptr ? *want : -1;

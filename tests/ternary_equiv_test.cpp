@@ -1,8 +1,8 @@
 // Differential tests for the compiled-bucket TernaryTable against a naive
-// reference scan, plus regression tests for the fast-path machinery this
-// table feeds: handle-indexed erase (touches only the owning bucket) and
-// the RPB (program, branch, recirc) match cache with its two invalidation
-// rules (table generation churn; register-keyed entries disable caching).
+// reference scan, plus regression tests for handle-indexed erase (touches
+// only the owning bucket) and for the RPB lookup on top of the table: every
+// packet sees the current winner across inserts and erases, and entries
+// keyed on registers are decided per packet.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -194,7 +194,7 @@ TEST(TernaryEquiv, EraseTouchesOnlyTheOwningBucket) {
   EXPECT_LE(table.stats().erase_probes, 9u);  // pool held 9 entries
 }
 
-// --- RPB match-cache validity ---------------------------------------------
+// --- RPB lookup ------------------------------------------------------------
 
 rmt::Phv claimed_phv(ProgramId program, BranchId branch = 0, RecircId recirc = 0) {
   rmt::Phv phv;
@@ -213,7 +213,7 @@ std::array<TernaryKey, dp::kRpbKeyWidth> rpb_keys(ProgramId program) {
   return keys;
 }
 
-TEST(RpbMatchCache, RepeatLookupsAreServedFromTheCache) {
+TEST(RpbLookup, RepeatLookupsAreServedFromTheCache) {
   dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
   rmt::StageStats stats;
   rpb.set_stage_stats(&stats);
@@ -225,32 +225,28 @@ TEST(RpbMatchCache, RepeatLookupsAreServedFromTheCache) {
     rpb.process(phv);
     EXPECT_EQ(phv.pkt_table_hits, 1u);
   }
-  // First packet fills the slot, the next four hit it.
-  EXPECT_EQ(rpb.match_cache_hits(), 4u);
-  EXPECT_EQ(stats.match_cache_hits, 4u);
   EXPECT_EQ(stats.table_hits, 5u);
 }
 
-TEST(RpbMatchCache, InsertBetweenLookupsInvalidatesTheCache) {
+TEST(RpbLookup, InsertBetweenLookupsInvalidatesTheCache) {
   dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
   ASSERT_TRUE(rpb.table().insert(rpb_keys(1), 0,
                                  dp::RpbAction{dp::AtomicOp::nop(), {}, 1}).ok());
   auto phv = claimed_phv(1);
-  rpb.process(phv);  // fill
+  rpb.process(phv);
 
   // A higher-priority entry for the same triple lands between lookups: the
-  // generation bump must force a re-lookup that sees the new winner.
+  // next lookup must see the new winner.
   ASSERT_TRUE(rpb.table()
                   .insert(rpb_keys(1), 10,
                           dp::RpbAction{dp::AtomicOp::loadi(Reg::Har, 42), {}, 1})
                   .ok());
   auto phv2 = claimed_phv(1);
   rpb.process(phv2);
-  EXPECT_EQ(phv2.reg(Reg::Har), 42u);       // new entry executed
-  EXPECT_EQ(rpb.match_cache_hits(), 0u);    // both lookups went to the table
+  EXPECT_EQ(phv2.reg(Reg::Har), 42u);  // new entry executed
 }
 
-TEST(RpbMatchCache, EraseBetweenLookupsInvalidatesTheCache) {
+TEST(RpbLookup, EraseBetweenLookupsInvalidatesTheCache) {
   dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
   auto inserted = rpb.table().insert(
       rpb_keys(1), 0, dp::RpbAction{dp::AtomicOp::loadi(Reg::Har, 7), {}, 1});
@@ -260,23 +256,21 @@ TEST(RpbMatchCache, EraseBetweenLookupsInvalidatesTheCache) {
   EXPECT_EQ(phv.reg(Reg::Har), 7u);
 
   ASSERT_TRUE(rpb.table().erase(inserted.value()));
-  // A stale cache would replay the erased entry's action from a dangling
-  // pointer; the generation check must turn this into a clean miss instead.
+  // The erased entry's action must not replay: the next lookup is a clean
+  // miss.
   auto phv2 = claimed_phv(1);
   rpb.process(phv2);
   EXPECT_EQ(phv2.reg(Reg::Har), 0u);
   EXPECT_EQ(phv2.pkt_table_hits, 0u);
   EXPECT_EQ(phv2.pkt_table_misses, 1u);
-  EXPECT_EQ(rpb.match_cache_hits(), 0u);
 }
 
-TEST(RpbMatchCache, RegisterKeyedEntriesDisableTheCache) {
+TEST(RpbLookup, RegisterKeyedEntriesDisableTheCache) {
   dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
   rmt::StageStats stats;
   rpb.set_stage_stats(&stats);
   // Branch-style entry keyed on the Sar register (nonzero mask on a
-  // register component): the winner is a function of packet state, so the
-  // (program, branch, recirc) cache must never serve it.
+  // register component): the winner is a function of packet state.
   auto keys = rpb_keys(1);
   keys[dp::kKeySar] = TernaryKey{1, 0x1u};
   ASSERT_TRUE(rpb.table()
@@ -292,12 +286,9 @@ TEST(RpbMatchCache, RegisterKeyedEntriesDisableTheCache) {
     EXPECT_EQ(phv.pkt_table_hits, should_match ? 1u : 0u) << i;
     EXPECT_EQ(phv.reg(Reg::Mar), should_match ? 9u : 0u) << i;
   }
-  // Provably bypassed: every lookup went to the table.
-  EXPECT_EQ(rpb.match_cache_hits(), 0u);
-  EXPECT_EQ(stats.match_cache_hits, 0u);
 
-  // And a register-keyed entry for one program must not poison another
-  // program whose entries are cache-eligible.
+  // And a register-keyed entry for one program must not affect another
+  // program whose entries key on the control flags alone.
   ASSERT_TRUE(rpb.table()
                   .insert(rpb_keys(2), 0,
                           dp::RpbAction{dp::AtomicOp::nop(), {}, 2})
@@ -307,13 +298,11 @@ TEST(RpbMatchCache, RegisterKeyedEntriesDisableTheCache) {
     rpb.process(phv);
     EXPECT_EQ(phv.pkt_table_hits, 1u);
   }
-  EXPECT_EQ(rpb.match_cache_hits(), 2u);  // program 2 caches fine
 }
 
-TEST(RpbMatchCache, CachedMissIsInvalidatedByLaterInsert) {
+TEST(RpbLookup, CachedMissIsInvalidatedByLaterInsert) {
   dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
-  // Table non-empty (so the empty-table fast-out does not trigger) but with
-  // no entry for program 5: the miss gets cached.
+  // Table non-empty but with no entry for program 5: a miss.
   ASSERT_TRUE(rpb.table().insert(rpb_keys(9), 0,
                                  dp::RpbAction{dp::AtomicOp::nop(), {}, 9}).ok());
   auto phv = claimed_phv(5);
@@ -321,9 +310,8 @@ TEST(RpbMatchCache, CachedMissIsInvalidatedByLaterInsert) {
   EXPECT_EQ(phv.pkt_table_misses, 1u);
   auto phv2 = claimed_phv(5);
   rpb.process(phv2);
-  EXPECT_EQ(rpb.match_cache_hits(), 1u);  // miss served from cache
 
-  // Entry for program 5 arrives: the cached miss must not shadow it.
+  // Entry for program 5 arrives: the earlier misses must not shadow it.
   ASSERT_TRUE(rpb.table().insert(rpb_keys(5), 0,
                                  dp::RpbAction{dp::AtomicOp::nop(), {}, 5}).ok());
   auto phv3 = claimed_phv(5);

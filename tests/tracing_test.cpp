@@ -1,5 +1,6 @@
-// Execution-tracing tests: a traced packet produces one line per executed
-// operation, in pipeline order, across recirculation rounds.
+// Execution-tracing tests: a traced packet produces one event per executed
+// operation, in pipeline order, across recirculation rounds; render_trace
+// prints each as one line.
 #include <gtest/gtest.h>
 
 #include "apps/program_library.h"
@@ -10,9 +11,9 @@
 namespace p4runpro {
 namespace {
 
-std::string joined(const std::vector<std::string>& lines) {
+std::string joined(const std::vector<rmt::TraceEvent>& events) {
   std::string out;
-  for (const auto& line : lines) out += line + "\n";
+  for (const auto& event : events) out += rmt::render_trace(event) + "\n";
   return out;
 }
 
@@ -34,8 +35,7 @@ TEST(Tracing, CacheHitTraceShowsTheFigure3Walk) {
   pkt.ingress_port = 5;
   (void)dataplane.inject(pkt);
 
-  const auto& trace = dataplane.pipeline().last_trace();
-  const std::string text = joined(trace);
+  const std::string text = joined(dataplane.pipeline().last_trace_events());
   // The Fig. 3 walk: parse, claim, extracts, branch to the read case,
   // address load, memory read, header modify.
   EXPECT_NE(text.find("parser: bitmap=0b11101"), std::string::npos) << text;
@@ -53,7 +53,7 @@ TEST(Tracing, CacheHitTraceShowsTheFigure3Walk) {
   // Tracing off: the last trace stays as-is but new packets don't trace.
   dataplane.pipeline().set_tracing(false);
   (void)dataplane.inject(pkt);
-  EXPECT_EQ(dataplane.pipeline().last_trace(), trace);
+  EXPECT_EQ(joined(dataplane.pipeline().last_trace_events()), text);
 }
 
 TEST(Tracing, RecirculatedProgramShowsBothRounds) {
@@ -114,8 +114,9 @@ TEST(Tracing, UnclaimedPacketTracesOnlyTheParser) {
   pkt.ipv4 = rmt::Ipv4Header{.src = 1, .dst = 2, .proto = 17};
   pkt.udp = rmt::UdpHeader{1, 2};
   (void)dataplane.inject(pkt);
-  ASSERT_EQ(dataplane.pipeline().last_trace().size(), 1u);
-  EXPECT_EQ(dataplane.pipeline().last_trace()[0].substr(0, 6), "parser");
+  const auto& events = dataplane.pipeline().last_trace_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(rmt::render_trace(events[0]).substr(0, 6), "parser");
 }
 
 }  // namespace
