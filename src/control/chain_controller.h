@@ -1,239 +1,31 @@
-// Chain controller: the runtime-programming API for a dp::SwitchChain — the
-// paper's multi-switch alternative to recirculation (§4.1.3/§5), driven as
-// ONE logical control plane. A chain deploy mirrors the program on every
-// hop under a single ProgramId (RPB entry keys embed the program id and the
-// recirculation id doubles as the hop count, so ids MUST match chain-wide;
-// that is why this controller owns its own id pool instead of composing
-// per-hop ctrl::Controllers). Every mutation is a chain-wide two-phase
-// transaction (ctrl::ChainTransaction): per-hop allocations solve in
-// parallel on an internal pool, phase 1 reserves and stages on every hop,
-// phase 2 commits hop by hop — and a control-channel fault at any (hop,
-// write index) restores the whole chain byte-identically.
-//
-// Locking discipline mirrors ctrl::Controller: one session mutex guards
-// every mutation of per-hop resource managers, engines, dataplanes, the
-// virtual clock and the telemetry bundle. link_many sessions compile and
-// solve off-lock against snapshots and re-enter the lock for
-// reserve+commit. Because hop occupancies only ever change in lockstep
-// (every deploy/relink/revoke is chain-wide), the per-hop snapshots stay
-// identical and the per-hop solves of one program agree — a divergence is
-// rejected as an internal error rather than silently deployed.
+// Chain controller: ctrl::Controller on a dp::SwitchChain — the paper's
+// multi-switch alternative to recirculation (§4.1.3/§5), driven as ONE
+// logical control plane. Every program is mirrored on every hop under a
+// single ProgramId, and every mutation is a chain-wide two-phase
+// transaction (ctrl::ChainTransaction): a control-channel fault at any
+// (hop, write index) restores the whole chain byte-identically. Tenants,
+// quotas, admission, defrag and the async channel come from the shared
+// Controller; this class only fixes the mode and keeps the one-program
+// `link` the chain API has always had.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
-#include "common/clock.h"
-#include "common/result.h"
-#include "common/thread_pool.h"
-#include "compiler/compiler.h"
-#include "compiler/solver.h"
 #include "control/chain_txn.h"
 #include "control/controller.h"
-#include "control/resource_manager.h"
-#include "control/update_engine.h"
 #include "dataplane/switch_chain.h"
-
-namespace p4runpro::obs {
-struct Telemetry;
-}
 
 namespace p4runpro::ctrl {
 
-class ChainController {
+class ChainController : public Controller {
  public:
-  /// The chain must have uniform specs (checked on every link; see
-  /// dp::SwitchChain::uniform_specs). Unlike ctrl::Controller this does NOT
-  /// attach per-hop pipeline observers or resource probes to `telemetry` —
-  /// hop-level occupancy gauges would collide across hops in one registry;
-  /// the chain-wide monitor events (chain_txn_commit / chain_txn_rollback)
-  /// and chain_txn.* spans are the chain's observability surface.
   ChainController(dp::SwitchChain& chain, SimClock& clock,
                   rp::Objective objective = {}, BfrtCostModel cost = {},
-                  obs::Telemetry* telemetry = nullptr);
+                  obs::Telemetry* telemetry = nullptr)
+      : Controller(chain, clock, objective, cost, telemetry) {}
 
   /// Link a single-program source unit on every hop, atomically chain-wide.
-  Result<LinkResult> link(std::string_view source);
-
-  /// Concurrent chain link sessions (compile/solve off-lock, per-session
-  /// AllocFailed retry; see ctrl::Controller::link_many). Results are
-  /// positional.
-  std::vector<Result<LinkResult>> link_many(const std::vector<std::string>& sources,
-                                            common::ThreadPool& pool,
-                                            ParallelLinkOptions options = {});
-
-  /// Atomically replace `old_id` with the program in `source` on every hop.
-  /// The new version commits chain-wide first; only then is the old version
-  /// retired. A fault while retiring the old version restores BOTH versions'
-  /// pre-fault truth: the old program keeps running on every hop (fresh
-  /// handles) and the new version is unwound chain-wide.
-  Result<LinkResult> relink(ProgramId old_id, std::string_view source);
-
-  /// Consistently remove a program from every hop. A channel fault at any
-  /// hop restores the program chain-wide: the faulted hop via its engine
-  /// journal, already-removed hops by re-installing their pre-removal
-  /// image (the freed blocks are re-claimed at their exact old addresses).
-  Status revoke(ProgramId id);
-  Status revoke_by_name(const std::string& name);
-
-  /// Toggle the asynchronous control channel on EVERY hop's update engine.
-  /// With all hops async, phase 2 of every chain transaction pipelines: all
-  /// hops' op-logs are submitted up front and drain their per-hop channels
-  /// concurrently, so chain update latency is max(hop) instead of sum(hop).
-  /// Off by default; call with no deployment in progress.
-  void set_async_writes(bool enabled);
-  [[nodiscard]] bool async_writes() const;
-
-  // --- monitoring --------------------------------------------------------
-  // Read-side queries take the session lock and quiesce every hop's channel
-  // before reading (same discipline and pointer-lifetime caveat as
-  // ctrl::Controller's monitoring block).
-
-  [[nodiscard]] int length() const noexcept { return chain_.length(); }
-  [[nodiscard]] const InstalledProgram* program_at(int hop, ProgramId id) const;
-  [[nodiscard]] std::vector<ProgramId> running_programs() const;
-  [[nodiscard]] std::size_t program_count() const;
-
-  /// The hop whose switch physically holds `vmem` of program `id` — i.e.
-  /// the chain hop of the (single, chain-compatibility-guaranteed) round
-  /// that accesses it.
-  [[nodiscard]] Result<int> owning_hop(ProgramId id, const std::string& vmem) const;
-
-  /// Control-plane memory access, routed to the owning hop.
-  [[nodiscard]] Result<Word> read_memory(ProgramId id, const std::string& vmem,
-                                         MemAddr vaddr) const;
-  Status write_memory(ProgramId id, const std::string& vmem, MemAddr vaddr,
-                      Word value);
-  [[nodiscard]] Result<std::vector<Word>> dump_memory(ProgramId id,
-                                                      const std::string& vmem) const;
-
-  /// Packets the program claimed at the chain entry (hop 0 sees every
-  /// packet; later hops only the recirculated rounds).
-  [[nodiscard]] std::uint64_t program_packets(ProgramId id) const;
-
-  /// Per-hop internals (fault injection arms exactly one hop's engine).
-  /// Unlocked test-harness access — do not call while sessions run on other
-  /// threads.
-  [[nodiscard]] ResourceManager& resources(int hop);
-  [[nodiscard]] const ResourceManager& resources(int hop) const;
-  [[nodiscard]] UpdateEngine& updates(int hop);
-
-  /// Chain-wide lifecycle audit log (most recent last, bounded). Returned
-  /// by value: a snapshot taken under the session lock.
-  [[nodiscard]] std::deque<ControlEvent> events() const;
-
-  [[nodiscard]] obs::Telemetry& telemetry() noexcept { return *telemetry_; }
-  [[nodiscard]] rp::Objective objective() const noexcept { return objective_; }
-
-  /// Deterministic virtual-time allocation charge (see
-  /// Controller::set_fixed_alloc_charge_ms).
-  void set_fixed_alloc_charge_ms(std::optional<double> ms) noexcept {
-    fixed_alloc_charge_ms_ = ms;
-  }
-
-  /// Admission bounds for link_many sessions (same semantics as
-  /// Controller::set_admission_config; chain sessions run as the default
-  /// tenant at weight 1). Reconfigure only with no session in flight.
-  void set_admission_config(AdmissionConfig config) {
-    admission_.set_config(config);
-  }
-  [[nodiscard]] const AdmissionController& admission() const noexcept {
-    return admission_;
-  }
-
- private:
-  /// One hop's control-plane state. ResourceManager is non-movable, hence
-  /// the unique_ptr indirection.
-  struct Hop {
-    ResourceManager resources;
-    UpdateEngine updates;
-    std::map<ProgramId, InstalledProgram> programs;
-
-    Hop(dp::RunproDataplane& dataplane, SimClock& clock, BfrtCostModel cost)
-        : resources(dataplane.spec()), updates(dataplane, resources, clock, cost) {}
-  };
-
-  /// Pre-removal image of one hop's installed program (for re-install on a
-  /// removal fault at a later hop).
-  struct HopImage {
-    InstalledProgram program;
-    std::map<std::string, std::vector<Word>> words;  // vmem -> block contents
-  };
-
-  /// A committed chain deploy that is not yet adopted into the per-hop
-  /// program maps — relink keeps the transaction alive so a fault while
-  /// retiring the old version can still unwind_commit() the new one.
-  struct DeployOutcome {
-    LinkResult result;
-    std::unique_ptr<ChainTransaction> txn;
-  };
-
-  [[nodiscard]] std::vector<ChainHop> hop_contexts();
-  /// Solve + two-phase commit of one program chain-wide (audits failures;
-  /// does NOT register the program — see adopt_locked).
-  Result<DeployOutcome> deploy_locked(const rp::TranslatedProgram& ir,
-                                      ProgramId replacing);
-  /// Move a committed outcome's per-hop InstalledPrograms into the hop maps
-  /// and the chain-wide running registry.
-  void adopt_locked(DeployOutcome& outcome);
-  Result<LinkResult> link_one_parallel(const std::string& source,
-                                       ParallelLinkOptions options);
-  /// Per-hop allocation solves (parallel on solve_pool_, each against its
-  /// hop's snapshot); verifies the allocations agree on rounds and stage
-  /// pinning and checks chain compatibility. Charges `alloc_ms` out-param
-  /// worth of virtual time.
-  Result<std::vector<rp::AllocationResult>> solve_all_locked(
-      const rp::TranslatedProgram& ir, double* alloc_ms);
-  [[nodiscard]] Status check_allocs_agree(
-      const rp::TranslatedProgram& ir,
-      const std::vector<rp::AllocationResult>& allocs) const;
-  Status revoke_locked(ProgramId id);
-  [[nodiscard]] const InstalledProgram* program_at_unlocked(int hop,
-                                                           ProgramId id) const;
-  [[nodiscard]] Result<int> owning_hop_unlocked(ProgramId id,
-                                                const std::string& vmem) const;
-  /// Drain every hop's async channel (no-op for serial hops). Caller holds
-  /// mu_; deadlock-free because writers never take mu_.
-  void quiesce_all() const;
-  /// Remove `id` from every hop with chain-wide atomicity; on a fault at
-  /// hop h (restored by its journal) re-installs every already-removed hop
-  /// from its pre-removal image. `faulted_hop` (may be null) reports h.
-  /// Pipelined (all hops submitted up front, settled in hop order) when
-  /// every hop's engine is async.
-  Status remove_chain_wide(ProgramId id, int* faulted_hop);
-  /// Re-install a pre-removal image on one hop: re-claim the exact memory
-  /// blocks, re-reserve entries, replay the install op-log (fresh handles).
-  void reinstall_hop(int hop, HopImage image);
-  [[nodiscard]] HopImage capture_image(int hop, const InstalledProgram& program) const;
-  [[nodiscard]] const std::string* running_name(ProgramId id) const;
-  [[nodiscard]] bool name_running(const std::string& name) const;
-  [[nodiscard]] ProgramId next_program_id();
-  void recycle_failed_id(ProgramId id);
-  void record_event(ControlEvent::Kind kind, ProgramId id, const std::string& name,
-                    const std::string& detail = "");
-
-  dp::SwitchChain& chain_;
-  SimClock& clock_;
-  rp::Objective objective_;
-  obs::Telemetry* telemetry_;
-  std::optional<double> fixed_alloc_charge_ms_;
-  std::vector<std::unique_ptr<Hop>> hops_;
-  common::ThreadPool solve_pool_;  ///< per-hop allocation solves
-
-  mutable std::mutex mu_;  ///< session lock (same discipline as Controller)
-  std::deque<ControlEvent> events_;
-  std::map<ProgramId, std::string> running_;  ///< chain-wide id -> name
-  ProgramId next_id_ = 1;
-  std::vector<ProgramId> free_ids_;  ///< fed only by successful revokes
-  int filter_generation_ = 0;
-  /// Blocking leaf lock — sessions acquire their grant before taking mu_.
-  AdmissionController admission_;
+  Result<LinkResult> link(std::string_view source) { return link_single(source); }
 };
 
 }  // namespace p4runpro::ctrl

@@ -1,5 +1,6 @@
 #include "control/chain_txn.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -25,12 +26,18 @@ ChainTransaction::ChainTransaction(std::vector<ChainHop> hops,
 }
 
 ChainTransaction::~ChainTransaction() {
+  // In-flight writer jobs reference the staged batches: settle them first.
+  if (phase_ == Phase::Submitted) (void)commit_finish();
   if (phase_ == Phase::Solved || phase_ == Phase::Staged) rollback_all();
+}
+
+obs::SpanTracer::Scope ChainTransaction::chain_span(const char* name) const {
+  return obs::span(hops_.size() > 1 ? telemetry_ : nullptr, name, "ctrl");
 }
 
 Status ChainTransaction::stage_all() {
   assert(phase_ == Phase::Solved);
-  auto stage_span = obs::span(telemetry_, "chain_txn.stage", "ctrl");
+  auto stage_span = chain_span("chain_txn.stage");
   stage_span.arg("hops", static_cast<std::uint64_t>(hops_.size()));
 
   txns_.reserve(hops_.size());
@@ -60,15 +67,8 @@ Status ChainTransaction::stage_all() {
   // reset must be able to restore free memory byte-identically.
   for (std::size_t h = 0; h < txns_.size(); ++h) {
     for (const auto& [vmem, placement] : txns_[h]->placements()) {
-      Residual residual;
-      residual.vmem = vmem;
-      residual.placement = placement;
-      residual.words.reserve(placement.block.size);
-      const auto& memory = hops_[h].dataplane->rpb(placement.rpb).memory();
-      for (std::uint32_t a = 0; a < placement.block.size; ++a) {
-        residual.words.push_back(memory.read(placement.block.base + a));
-      }
-      residuals_[h].push_back(std::move(residual));
+      residuals_[h].push_back(
+          Residual{vmem, placement, read_block(*hops_[h].dataplane, placement)});
     }
   }
 
@@ -76,57 +76,22 @@ Status ChainTransaction::stage_all() {
   return {};
 }
 
+bool ChainTransaction::pipelined() const {
+  for (const auto& hop : hops_) {
+    if (hop.updates == nullptr || !hop.updates->async()) return false;
+  }
+  return true;
+}
+
 Status ChainTransaction::commit_all() {
   assert(phase_ == Phase::Staged);
-  auto commit_span = obs::span(telemetry_, "chain_txn.commit", "ctrl");
+  auto commit_span = chain_span("chain_txn.commit");
   commit_span.arg("hops", static_cast<std::uint64_t>(hops_.size()));
   commit_span.arg("ops", static_cast<std::uint64_t>(total_staged_ops()));
-
-  bool all_async = true;
-  for (const auto& hop : hops_) {
-    all_async = all_async && hop.updates != nullptr && hop.updates->async();
-  }
-  if (all_async) {
+  if (pipelined()) {
     commit_span.arg("pipelined", "1");
-    // Submit every hop's op-log before settling any: the per-hop writer
-    // threads drain their channels concurrently, so chain update latency is
-    // the slowest hop, not the sum of hops.
-    for (auto& txn : txns_) txn->commit_submit();
-
-    std::vector<std::unique_ptr<InstalledProgram>> committed(txns_.size());
-    Status first_error;
-    for (std::size_t h = 0; h < txns_.size(); ++h) {
-      auto installed = txns_[h]->commit_finish();
-      if (!installed.ok()) {
-        // Keep settling the remaining hops — their writer jobs reference
-        // their staged batches and must complete before we unwind anything.
-        if (first_error.ok()) {
-          faulted_hop_ = static_cast<int>(h);
-          first_error = installed.error();
-        }
-        continue;
-      }
-      committed[h] = std::make_unique<InstalledProgram>(std::move(installed).take());
-    }
-    if (!first_error.ok()) {
-      // Faulted hops rolled themselves back at finish; un-commit every hop
-      // that settled successfully — including those AFTER the faulted hop
-      // (they were already in flight when the fault surfaced).
-      std::size_t committed_hops = 0;
-      for (const auto& p : committed) committed_hops += p != nullptr ? 1u : 0u;
-      auto unwind_span = obs::span(telemetry_, "chain_txn.unwind", "ctrl");
-      unwind_span.arg("committed_hops", static_cast<std::uint64_t>(committed_hops));
-      for (std::size_t g = committed.size(); g-- > 0;) {
-        if (committed[g]) unwind_committed_hop(static_cast<int>(g), *committed[g]);
-      }
-      installed_.clear();
-      phase_ = Phase::RolledBack;
-      return first_error;
-    }
-    installed_.reserve(committed.size());
-    for (auto& program : committed) installed_.push_back(std::move(*program));
-    phase_ = Phase::Committed;
-    return {};
+    commit_submit();
+    return commit_finish();
   }
 
   for (std::size_t h = 0; h < txns_.size(); ++h) {
@@ -136,7 +101,7 @@ Status ChainTransaction::commit_all() {
       // rolled its reservations back. Un-commit every hop before it and
       // release the reservations of every hop after it.
       faulted_hop_ = static_cast<int>(h);
-      auto unwind_span = obs::span(telemetry_, "chain_txn.unwind", "ctrl");
+      auto unwind_span = chain_span("chain_txn.unwind");
       unwind_span.arg("committed_hops", static_cast<std::uint64_t>(h));
       for (std::size_t g = h; g-- > 0;) unwind_committed_hop(static_cast<int>(g));
       for (std::size_t g = h + 1; g < txns_.size(); ++g) txns_[g]->rollback();
@@ -150,6 +115,64 @@ Status ChainTransaction::commit_all() {
   return {};
 }
 
+void ChainTransaction::commit_submit() {
+  assert(phase_ == Phase::Staged && pipelined());
+  // Submit every hop's op-log before settling any: the per-hop writer
+  // threads drain their channels concurrently, so chain update latency is
+  // the slowest hop, not the sum of hops.
+  for (auto& txn : txns_) txn->commit_submit();
+  phase_ = Phase::Submitted;
+}
+
+void ChainTransaction::commit_wait() {
+  assert(phase_ == Phase::Submitted);
+  for (auto& txn : txns_) txn->commit_wait();
+}
+
+Status ChainTransaction::commit_finish() {
+  assert(phase_ == Phase::Submitted);
+  std::vector<std::unique_ptr<InstalledProgram>> committed(txns_.size());
+  Status first_error;
+  for (std::size_t h = 0; h < txns_.size(); ++h) {
+    auto installed = txns_[h]->commit_finish();
+    if (!installed.ok()) {
+      // Keep settling the remaining hops — their writer jobs reference
+      // their staged batches and must complete before we unwind anything.
+      if (first_error.ok()) {
+        faulted_hop_ = static_cast<int>(h);
+        first_error = installed.error();
+      }
+      continue;
+    }
+    committed[h] = std::make_unique<InstalledProgram>(std::move(installed).take());
+  }
+  if (!first_error.ok()) {
+    // Faulted hops rolled themselves back at finish; un-commit every hop
+    // that settled successfully — including those AFTER the faulted hop
+    // (they were already in flight when the fault surfaced).
+    std::size_t committed_hops = 0;
+    for (const auto& p : committed) committed_hops += p != nullptr ? 1u : 0u;
+    auto unwind_span = chain_span("chain_txn.unwind");
+    unwind_span.arg("committed_hops", static_cast<std::uint64_t>(committed_hops));
+    for (std::size_t g = committed.size(); g-- > 0;) {
+      if (committed[g]) unwind_committed_hop(static_cast<int>(g), *committed[g]);
+    }
+    installed_.clear();
+    phase_ = Phase::RolledBack;
+    return first_error;
+  }
+  installed_.reserve(committed.size());
+  for (auto& program : committed) installed_.push_back(std::move(*program));
+  phase_ = Phase::Committed;
+  return {};
+}
+
+double ChainTransaction::channel_ms() const {
+  double ms = 0.0;
+  for (const auto& txn : txns_) ms = std::max(ms, txn->channel_ms());
+  return ms;
+}
+
 void ChainTransaction::rollback_all() {
   if (phase_ == Phase::Committed || phase_ == Phase::RolledBack) return;
   for (auto& txn : txns_) {
@@ -161,7 +184,7 @@ void ChainTransaction::rollback_all() {
 
 void ChainTransaction::unwind_commit() {
   assert(phase_ == Phase::Committed);
-  auto unwind_span = obs::span(telemetry_, "chain_txn.unwind", "ctrl");
+  auto unwind_span = chain_span("chain_txn.unwind");
   unwind_span.arg("committed_hops", static_cast<std::uint64_t>(hops_.size()));
   for (std::size_t g = hops_.size(); g-- > 0;) {
     unwind_committed_hop(static_cast<int>(g));
@@ -176,12 +199,7 @@ void ChainTransaction::unwind_committed_hop(int hop) {
 
 void ChainTransaction::unwind_committed_hop(int hop, InstalledProgram& program) {
   ChainHop& ctx = hops_[static_cast<std::size_t>(hop)];
-
-  std::map<int, std::uint32_t> entries_per_rpb;
-  for (const auto& [rpb, handle] : program.rpb_handles) {
-    (void)handle;
-    ++entries_per_rpb[rpb];
-  }
+  const auto entries = entries_per_rpb(program);
 
   // Consistent remove through the hop's own engine (filters first, so the
   // half-deployed program is atomically invisible; memory reset last). The
@@ -190,11 +208,9 @@ void ChainTransaction::unwind_committed_hop(int hop, InstalledProgram& program) 
   assert(removed.ok() && "chain unwind remove must not fault (single-fault model)");
   (void)removed;
 
-  for (const auto& [rpb, count] : entries_per_rpb) {
-    ctx.resources->release_entries(rpb, count);
-  }
+  for (const auto& [rpb, count] : entries) ctx.resources->release_entries(rpb, count);
   ctx.resources->erase_program(id_);
-  ctx.dataplane->init_block().clear_counter(id_);
+  ctx.dataplane->clear_claim_counter(id_);
 
   // remove() zeroed the blocks; put the pre-transaction residual bytes back
   // so even free memory is byte-identical. The inverse op is discarded —

@@ -22,10 +22,15 @@
 // reserved block, and the unwind writes them back after the remove, so the
 // "byte-identical" guarantee covers free memory too.
 //
+// One hop: a single recirculating switch runs the same two phases through
+// one DeployTransaction and opens no chain_txn.* span, so its span tree is
+// the single-switch one (txn.reserve, entrygen, txn.stage, txn.commit).
+//
 // Locking discipline: like DeployTransaction, a chain transaction is
-// single-threaded and must run under the chain controller's session lock
-// from stage_all() onward; only the per-hop allocation solving that feeds
-// it may run concurrently (on snapshots).
+// single-threaded and must run under the controller's session lock from
+// stage_all() onward — except commit_wait(), the lock-free park between
+// commit_submit() and commit_finish(); only the per-hop allocation solving
+// that feeds it may run concurrently (on snapshots).
 #pragma once
 
 #include <map>
@@ -35,10 +40,11 @@
 
 #include "common/result.h"
 #include "control/deploy_txn.h"
+#include "obs/trace.h"
 
 namespace p4runpro::ctrl {
 
-/// One hop's execution context (pointers owned by the chain controller and
+/// One hop's execution context (pointers owned by the controller and
 /// outliving the transaction).
 struct ChainHop {
   dp::RunproDataplane* dataplane = nullptr;
@@ -51,6 +57,7 @@ class ChainTransaction {
   enum class Phase : std::uint8_t {
     Solved,      ///< per-hop allocations bound, nothing reserved yet
     Staged,      ///< every hop reserved + staged, no dataplane writes yet
+    Submitted,   ///< every hop's op-log in flight on its async channel
     Committed,   ///< op-logs executed on every hop
     RolledBack,  ///< chain-wide pre-transaction state restored
   };
@@ -85,8 +92,26 @@ class ChainTransaction {
   /// its own channel (filters land last per hop), settlement is in hop
   /// order, and a fault on any hop still restores the whole chain
   /// byte-identically (committed hops are un-committed whether they settled
-  /// before or after the faulted one).
+  /// before or after the faulted one). Pipelined, this is commit_submit()
+  /// followed by commit_finish().
   Status commit_all();
+
+  // --- split pipelined commit (every hop async) ---------------------------
+  // The controller parks a session off-lock between the halves:
+  //   commit_submit() — under the session lock: submit every hop's op-log.
+  //   commit_wait()   — OPTIONAL, lock-free: block until every hop's writer
+  //                     has completed (no shared state touched).
+  //   commit_finish() — under the session lock: settle the hops in order,
+  //                     unwinding the chain on any hop's fault.
+
+  /// True when every hop's update engine is async (phase 2 pipelines).
+  [[nodiscard]] bool pipelined() const;
+  void commit_submit();
+  void commit_wait();
+  Status commit_finish();
+  /// Virtual ms from submission to the last hop's completion (the chain's
+  /// pipelined update delay); valid after commit_finish.
+  [[nodiscard]] double channel_ms() const;
 
   /// Release phase-1 reservations on every hop (idempotent; no-op once
   /// Committed).
@@ -94,10 +119,10 @@ class ChainTransaction {
 
   /// Un-commit a COMMITTED transaction: consistently remove the program
   /// from every hop (reverse hop order), release its resources and restore
-  /// residual bytes. Used by the chain controller's relink when retiring
-  /// the old version faults after the new version already committed
-  /// chain-wide. The unwind itself must not fault (single-fault model, the
-  /// same assumption the single-switch journal unwind makes).
+  /// residual bytes. Used by the controller's relink (and defrag move) when
+  /// retiring the old version faults after the new version already
+  /// committed on every hop. The unwind itself must not fault (single-fault
+  /// model, the same assumption the single-switch journal unwind makes).
   void unwind_commit();
 
   [[nodiscard]] Phase phase() const noexcept { return phase_; }
@@ -126,6 +151,9 @@ class ChainTransaction {
   /// Same, for a program not (yet) adopted into installed_ — the pipelined
   /// fault path unwinds hops that settled successfully around the fault.
   void unwind_committed_hop(int hop, InstalledProgram& program);
+  /// A chain_txn.* span: inert on one hop, which keeps the single-switch
+  /// span tree.
+  [[nodiscard]] obs::SpanTracer::Scope chain_span(const char* name) const;
 
   std::vector<ChainHop> hops_;
   const rp::TranslatedProgram& ir_;

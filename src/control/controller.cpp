@@ -1,9 +1,10 @@
 #include "control/controller.h"
 
+#include <algorithm>
 #include <cassert>
 #include <future>
+#include <utility>
 
-#include "control/deploy_txn.h"
 #include "control/lock_hold.h"
 #include "obs/telemetry.h"
 
@@ -39,25 +40,102 @@ namespace {
   return words;
 }
 
+/// A compile error, or with `single` a unit not holding exactly one program.
+[[nodiscard]] Status unit_status(
+    const Result<std::vector<rp::TranslatedProgram>>& compiled, bool single) {
+  if (!compiled.ok()) return compiled.error();
+  if (!single || compiled.value().size() == 1) return {};
+  return Error{"expected exactly one program in source unit, got " +
+                   std::to_string(compiled.value().size()),
+               "Controller", ErrorCode::InvalidArgument};
+}
+
+[[nodiscard]] std::vector<dp::RunproDataplane*> switches_of(dp::SwitchChain& chain) {
+  std::vector<dp::RunproDataplane*> switches;
+  for (int h = 0; h < chain.length(); ++h) switches.push_back(&chain.switch_at(h));
+  return switches;
+}
+
 }  // namespace
+
+/// The locked part of one control operation. Holds the session lock, the
+/// operation's causal trace scope (the context is lock-protected shared
+/// state) and its lock-hold timer.
+class Controller::Session {
+ public:
+  explicit Session(Controller& controller)
+      : telemetry_(controller.telemetry_),
+        lock_(controller.mu_),
+        trace_(std::in_place, controller.telemetry_),
+        hold_(controller.clock_, controller.telemetry_) {}
+
+  [[nodiscard]] std::uint64_t trace_id() const { return trace_->trace_id(); }
+
+  /// Run `wait` off-lock (an async write draining). The trace context never
+  /// stays installed off-lock; it is re-adopted after re-locking so the
+  /// finish-side spans carry this operation's id. No span may be open.
+  template <typename Wait>
+  void park(Wait&& wait) {
+    const obs::TraceContext ctx = telemetry_->active_trace;
+    trace_.reset();
+    hold_.pause();
+    lock_.unlock();
+    wait();
+    lock_.lock();
+    hold_.resume();
+    trace_.emplace(telemetry_, ctx);
+  }
+
+ private:
+  obs::Telemetry* telemetry_;
+  std::unique_lock<std::mutex> lock_;
+  std::optional<obs::TraceScope> trace_;
+  LockHoldTimer hold_;
+};
 
 Controller::Controller(dp::RunproDataplane& dataplane, SimClock& clock,
                        rp::Objective objective, BfrtCostModel cost,
                        obs::Telemetry* telemetry)
-    : dataplane_(dataplane),
+    : Controller(nullptr, {&dataplane}, clock, objective, cost, telemetry) {
+  // A single switch recirculates: the monitor observes its pipeline, and its
+  // pipeline and resource probes register (hop probes of a chain would
+  // collide in one registry).
+  dataplane.attach_telemetry(telemetry_);
+  dataplane.pipeline().set_observer(&telemetry_->monitor);
+  at(0).resources.attach_telemetry(telemetry_);
+}
+
+Controller::Controller(dp::SwitchChain& chain, SimClock& clock,
+                       rp::Objective objective, BfrtCostModel cost,
+                       obs::Telemetry* telemetry)
+    : Controller(&chain, switches_of(chain), clock, objective, cost, telemetry) {
+  // "bfrt.batch" spans (and trace reports) name the switch a write hit.
+  for (int h = 0; h < length(); ++h) at(h).updates.set_hop_label(h);
+}
+
+Controller::Controller(dp::SwitchChain* chain,
+                       const std::vector<dp::RunproDataplane*>& switches,
+                       SimClock& clock, rp::Objective objective, BfrtCostModel cost,
+                       obs::Telemetry* telemetry)
+    : chain_(chain),
       clock_(clock),
       objective_(objective),
-      telemetry_(&obs::telemetry_or_default(telemetry)),
-      resources_(dataplane.spec()),
-      updates_(dataplane, resources_, clock, cost) {
+      telemetry_(&obs::telemetry_or_default(telemetry)) {
   // One bundle for the whole stack: phase spans are stamped with this
   // controller's virtual clock, and every layer reports into one registry.
   telemetry_->tracer.set_clock(&clock_);
   telemetry_->monitor.set_clock(&clock_);
-  dataplane_.attach_telemetry(telemetry_);
-  dataplane_.pipeline().set_observer(&telemetry_->monitor);
-  resources_.attach_telemetry(telemetry_);
-  updates_.set_telemetry(telemetry_);
+  for (dp::RunproDataplane* dataplane : switches) {
+    hops_.push_back(std::make_unique<Hop>(*dataplane, clock_, cost));
+    Hop& hop = *hops_.back();
+    hop.updates.set_telemetry(telemetry_);
+    contexts_.push_back(ChainHop{dataplane, &hop.resources, &hop.updates});
+  }
+  if (hops_.size() > 1) {
+    solve_pool_ = std::make_unique<common::ThreadPool>(
+        std::min(static_cast<unsigned>(hops_.size() - 1),
+                 common::ThreadPool::default_thread_count()));
+  }
   // Admission gauges as probes: the admission controller is internally
   // synchronized, so sampling at export time is safe from any thread.
   telemetry_->metrics.register_probe("ctrl.tenant.queue_depth", this, [this] {
@@ -128,50 +206,70 @@ void Controller::record_link_histograms(const LinkResult& result) {
   m.histogram("ctrl.link.deploy_ms").observe(result.stats.deploy_ms());
 }
 
+void Controller::announce_commit(ProgramId id, const std::string& name) {
+  if (chain_ != nullptr) {
+    telemetry_->monitor.chain_txn_committed(id, name, length());
+  } else {
+    telemetry_->monitor.txn_committed(id, name);
+  }
+}
+
+void Controller::announce_rollback(ProgramId id, const std::string& name,
+                                   int faulted_hop, const Error& err) {
+  if (chain_ != nullptr) {
+    telemetry_->monitor.chain_txn_rolled_back(id, name, length(), faulted_hop,
+                                              err.str());
+  } else {
+    telemetry_->monitor.txn_rolled_back(id, name, err.str());
+  }
+}
+
 Result<std::vector<LinkResult>> Controller::link(std::string_view source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Causal trace for the whole operation (adopted when a ChainController
-  // entry point is already active). Constructed inside the lock: the
-  // context is bundle-shared state, like the tracer.
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-  auto results = link_locked(source);
+  Session session(*this);
+  auto results = link_locked(source, /*single=*/false);
   if (results.ok()) {
-    for (auto& r : results.value()) r.trace = trace.trace_id();
+    for (auto& r : results.value()) r.trace = session.trace_id();
   }
   return results;
 }
 
-Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source) {
-  auto link_span = telemetry_->tracer.span("link", "ctrl");
-  // Parse + check + translate. The paper measures ~2 ms average parse time
-  // on the switch CPU; charge it to the simulated clock. compile_source
-  // emits the "parse" and "translate" child spans.
+Result<LinkResult> Controller::link_single(std::string_view source) {
+  Session session(*this);
+  auto results = link_locked(source, /*single=*/true);
+  if (!results.ok()) return results.error();
+  LinkResult result = std::move(results.value().front());
+  result.trace = session.trace_id();
+  return result;
+}
+
+Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source,
+                                                        bool single) {
+  auto link_span =
+      telemetry_->tracer.span(chain_ != nullptr ? "chain_link" : "link", "ctrl");
   const double parse_start_ms = clock_.now_ms();
-  auto compiled = rp::compile_source(source, telemetry_);
-  clock_.advance_ms(2.0);
-  if (!compiled.ok()) {
-    record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>",
-                 compiled.error().str());
-    return compiled.error();
-  }
+  auto compiled = compile_locked(source, single);
+  if (!compiled.ok()) return compiled.error();
   const double parse_ms = clock_.now_ms() - parse_start_ms;
 
   std::vector<LinkResult> results;
   for (const auto& ir : compiled.value()) {
-    auto linked = link_one_locked(ir);
-    if (!linked.ok()) {
+    auto deployed = deploy_locked(ir, 0, std::nullopt, nullptr, nullptr);
+    if (!deployed.ok()) {
       // All-or-nothing: revoke programs linked earlier in this unit.
-      // (link_one_locked already audited the failure.)
+      // (deploy_locked already audited the failure.)
       for (const auto& r : results) {
-        const Status s = revoke_locked(r.id);
+        const Status s = revoke_locked(r.id, nullptr);
         assert(s.ok());
         (void)s;
       }
-      return linked.error();
+      return deployed.error();
     }
-    record_event(ControlEvent::Kind::Link, linked.value().id, ir.name);
-    results.push_back(std::move(linked).take());
+    adopt_locked(deployed.value(), 0);
+    // Unchecked charge: the serial paths bypass the quota gate (concurrent
+    // sessions charge at admission instead).
+    tenants_.charge(0, memory_demand(ir), entry_demand(ir));
+    record_event(ControlEvent::Kind::Link, deployed.value().result.id, ir.name);
+    results.push_back(std::move(deployed.value().result));
     results.back().stats.parse_ms = parse_ms / static_cast<double>(compiled.value().size());
   }
 
@@ -180,88 +278,139 @@ Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source)
   return results;
 }
 
-Result<LinkResult> Controller::link_single(std::string_view source) {
-  auto results = link(source);
-  if (!results.ok()) return results.error();
-  if (results.value().size() != 1) {
-    return Error{"expected exactly one program in source unit", "Controller",
-                 ErrorCode::InvalidArgument};
-  }
-  return std::move(results.value().front());
+Result<std::vector<rp::TranslatedProgram>> Controller::compile_locked(
+    std::string_view source, bool single) {
+  // Parse + check + translate. The paper measures ~2 ms average parse time
+  // on the switch CPU; charge it to the simulated clock. compile_source
+  // emits the "parse" and "translate" spans.
+  auto compiled = rp::compile_source(source, telemetry_);
+  clock_.advance_ms(2.0);
+  const Status unit = unit_status(compiled, single);
+  if (unit.ok()) return compiled;
+  record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
+  return unit.error();
 }
 
-Result<LinkResult> Controller::link_one_locked(const rp::TranslatedProgram& ir,
-                                               ProgramId replacing,
-                                               TenantId tenant) {
+Result<Controller::Deployed> Controller::deploy_locked(const rp::TranslatedProgram& ir,
+                                                       ProgramId replacing,
+                                                       std::optional<Solved> solved,
+                                                       Session* park, bool* retry) {
   // Every rollback leaves an audit trail: a LinkFailed event carrying the
-  // coded error, plus a TxnRollback entry in the monitor stream when a
+  // coded error, plus a rollback entry in the monitor stream when a
   // transaction (id assigned) was actually begun.
-  auto fail = [&](ProgramId id, const Error& err) -> Error {
-    if (id != 0) telemetry_->monitor.txn_rolled_back(id, ir.name, err.str());
+  auto fail = [&](ProgramId id, int faulted_hop, const Error& err) -> Error {
+    if (id != 0) announce_rollback(id, ir.name, faulted_hop, err);
     record_event(ControlEvent::Kind::LinkFailed, id, ir.name, err.str());
     return err;
   };
+  // AllocFailed is what a re-solve against a fresh snapshot may fix.
+  auto retryable = [&](const Error& err) {
+    return retry != nullptr && err.code == ErrorCode::AllocFailed;
+  };
 
+  if (chain_ != nullptr) {
+    if (auto s = chain_->uniform_specs(); !s.ok()) return fail(0, -1, s.error());
+  }
   if (const InstalledProgram* existing = program_by_name_unlocked(ir.name);
       (existing != nullptr && existing->id != replacing) ||
       pending_names_.count(ir.name) != 0) {
-    return fail(0, Error{"a program named '" + ir.name + "' is already running",
-                         "Controller", ErrorCode::Conflict});
+    return fail(0, -1, Error{"a program named '" + ir.name + "' is already running",
+                             "Controller", ErrorCode::Conflict});
   }
 
-  // Allocation (real measured solver time, §6.2.1 "allocation delay").
-  auto solve_span = telemetry_->tracer.span("solve", "ctrl");
-  WallTimer timer;
-  const auto snapshot = resources_.snapshot();
-  auto alloc = rp::solve_allocation(ir, dataplane_.spec(), snapshot, objective_,
-                                    telemetry_);
-  const double alloc_ms =
-      fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : timer.elapsed_ms();
+  // Allocation (real measured solver time, §6.2.1 "allocation delay"):
+  // solved here, under the lock, unless the caller brought allocations. Only
+  // the serial entry points, which solve here, emit the §6.2 phase spans
+  // ("solve", "install") under their root span.
+  const bool phase_spans = !solved;
+  obs::SpanTracer::Scope solve_span;
+  if (phase_spans) {
+    solve_span = telemetry_->tracer.span("solve", "ctrl");
+    WallTimer timer;
+    auto allocs = solve_hops(ir, snapshots(), telemetry_);
+    solved.emplace(Solved{std::move(allocs), fixed_alloc_charge_ms_
+                                                 ? *fixed_alloc_charge_ms_
+                                                 : timer.elapsed_ms()});
+  }
+  const double alloc_ms = solved->charge_ms;
   clock_.advance_ms(alloc_ms);
-  if (alloc.ok()) {
-    solve_span.arg("nodes_explored", alloc.value().nodes_explored);
-    solve_span.arg("rounds", static_cast<std::uint64_t>(alloc.value().rounds));
+  if (solved->allocs.ok()) {
+    const rp::AllocationResult& alloc = solved->allocs.value().front();
+    solve_span.arg("nodes_explored", alloc.nodes_explored);
+    solve_span.arg("rounds", static_cast<std::uint64_t>(alloc.rounds));
   }
   solve_span.end();
-  if (!alloc.ok()) return fail(0, alloc.error());
-
-  // Transaction: reserve -> plan -> stage -> commit, rollback on any fault.
-  const ProgramId id = next_program_id();
-  DeployTransaction txn(
-      DeployContext{dataplane_, resources_, updates_, telemetry_}, ir,
-      std::move(alloc).take(), id, ++filter_generation_, replacing);
-  if (auto s = txn.reserve(); !s.ok()) {
-    recycle_failed_id(id);
-    return fail(id, s.error());
+  if (!solved->allocs.ok()) {
+    // With auto-defrag the snapshot had the words but not the contiguity:
+    // the caller compacts and burns a retry on the improved memory map.
+    if (retryable(solved->allocs.error()) && auto_defrag_) {
+      *retry = true;
+      return solved->allocs.error();
+    }
+    return fail(0, -1, solved->allocs.error());
   }
-  txn.plan_entries();
-  txn.stage();
+  std::vector<rp::AllocationResult> allocs = std::move(solved->allocs).take();
+  if (chain_ != nullptr) {
+    if (auto s = check_chain(ir, allocs); !s.ok()) return fail(0, -1, s.error());
+  }
+
+  // Transaction: reserve -> plan -> stage on every hop, then commit; any
+  // fault rolls every hop back.
+  const ProgramId id = next_program_id();
+  auto txn = std::make_unique<ChainTransaction>(contexts_, ir, std::move(allocs), id,
+                                                ++filter_generation_, replacing,
+                                                telemetry_);
+  if (auto s = txn->stage_all(); !s.ok()) {
+    recycle_failed_id(id);
+    // Another session took the resources between snapshot and lock.
+    if (retryable(s.error())) {
+      *retry = true;
+      return s.error();
+    }
+    return fail(id, txn->faulted_hop(), s.error());
+  }
 
   // Consistent update (simulated bfrt writes; §6.2.1 "update delay").
-  auto install_span = telemetry_->tracer.span("install", "ctrl");
+  const bool parked = park != nullptr && txn->pipelined();
   const double update_start_ms = clock_.now_ms();
-  auto installed = txn.commit();
-  const double update_ms = clock_.now_ms() - update_start_ms;
-  install_span.end();
-  if (!installed.ok()) {
-    recycle_failed_id(id);
-    return fail(id, installed.error());
+  Status committed;
+  if (parked) {
+    // Pipelined commit: submit under the lock, park OFF-lock while the
+    // writers drain the channels, settle under the lock again. The name
+    // guard keeps concurrent sessions from double-booking the name while we
+    // are away; reservations and the staged batches are already ours.
+    pending_names_.insert(ir.name);
+    txn->commit_submit();
+    park->park([&] { txn->commit_wait(); });
+    committed = txn->commit_finish();
+    pending_names_.erase(ir.name);
+  } else {
+    obs::SpanTracer::Scope install_span;
+    if (phase_spans) install_span = telemetry_->tracer.span("install", "ctrl");
+    committed = txn->commit_all();
   }
-  telemetry_->monitor.txn_committed(id, ir.name);
-  InstalledProgram program = std::move(installed).take();
-  program.tenant = tenant;
-  // Unchecked charge: serial/relink/defrag callers bypass the quota gate
-  // (the concurrent session path charges at admission instead and never
-  // reaches this function).
-  tenants_.charge(tenant, memory_demand(ir), entry_demand(ir));
-  programs_.emplace(id, std::move(program));
+  if (!committed.ok()) {
+    recycle_failed_id(id);
+    return fail(id, txn->faulted_hop(), committed.error());
+  }
+  announce_commit(id, ir.name);
 
-  LinkResult result;
-  result.id = id;
-  result.name = ir.name;
-  result.stats.alloc_ms = alloc_ms;
-  result.stats.update_ms = update_ms;
-  return result;
+  Deployed deployed;
+  deployed.result.id = id;
+  deployed.result.name = ir.name;
+  deployed.result.stats.alloc_ms = alloc_ms;
+  deployed.result.stats.update_ms =
+      parked ? txn->channel_ms() : clock_.now_ms() - update_start_ms;
+  deployed.txn = std::move(txn);
+  return deployed;
+}
+
+void Controller::adopt_locked(Deployed& deployed, TenantId tenant) {
+  auto& installed = deployed.txn->installed();
+  for (std::size_t h = 0; h < hops_.size(); ++h) {
+    installed[h].tenant = tenant;
+    hops_[h]->programs.emplace(deployed.result.id, std::move(installed[h]));
+  }
 }
 
 std::vector<Result<LinkResult>> Controller::link_many(
@@ -293,16 +442,11 @@ Result<LinkResult> Controller::link_session(const SessionSpec& session,
   // Compile + translate off-lock: pure compute over the source text. No
   // telemetry — the tracer and clock are shared state behind mu_.
   auto compiled = rp::compile_source(session.source, nullptr);
-  if (!compiled.ok()) {
+  if (const Status unit = unit_status(compiled, /*single=*/true); !unit.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     clock_.advance_ms(2.0);
-    record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>",
-                 compiled.error().str());
-    return compiled.error();
-  }
-  if (compiled.value().size() != 1) {
-    return Error{"link_many expects single-program source units", "Controller",
-                 ErrorCode::InvalidArgument};
+    record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
+    return unit.error();
   }
   const rp::TranslatedProgram& ir = compiled.value().front();
   const TenantId tenant = session.tenant;
@@ -336,10 +480,11 @@ Result<LinkResult> Controller::link_session_admitted(
     const rp::TranslatedProgram& ir, TenantId tenant,
     ParallelLinkOptions options) {
   // Quota gate: charge the session's full demand up front (demand equals
-  // the committed footprint exactly, see memory_demand) and refund on every
-  // failure path. Charging before reserving keeps the invariant one-sided:
-  // registry usage >= sum of installed footprints, so concurrent sessions
-  // can never oversubscribe a quota between check and commit.
+  // the committed footprint exactly, see memory_demand; once per program,
+  // however many hops mirror it) and refund on every failure path.
+  // Charging before reserving keeps the invariant one-sided: registry usage
+  // >= sum of installed footprints, so concurrent sessions can never
+  // oversubscribe a quota between check and commit.
   const std::uint64_t mem_words = memory_demand(ir);
   const std::uint64_t entry_count = entry_demand(ir);
   if (auto s = tenants_.admit(tenant, mem_words, entry_count); !s.ok()) {
@@ -361,122 +506,46 @@ Result<LinkResult> Controller::link_session_admitted(
   Error conflict{"parallel link: retries exhausted", "Controller",
                  ErrorCode::AllocFailed};
   for (int attempt = 0; attempt <= options.max_solve_retries; ++attempt) {
-    // Solve against a snapshot off-lock (the expensive phase runs in
+    // Solve against per-hop snapshots off-lock (the expensive phase runs in
     // parallel across sessions).
-    ResourceManager::Snapshot snapshot;
+    std::vector<ResourceManager::Snapshot> snaps;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      snapshot = resources_.snapshot();
+      snaps = snapshots();
     }
     WallTimer timer;
-    auto alloc =
-        rp::solve_allocation(ir, dataplane_.spec(), snapshot, objective_, nullptr);
+    auto allocs = solve_hops(ir, snaps, nullptr);
     const double solve_ms = timer.elapsed_ms();
 
     // Reservation + staged commit serialize under the session lock; the
-    // clock, telemetry and audit log are only touched here. (A unique_lock:
-    // the async channel path parks off-lock while its write is in flight.)
-    std::unique_lock<std::mutex> lock(mu_);
-    // Per-attempt trace scope (the context is lock-protected shared state);
-    // the successful attempt's id is the one the LinkResult reports. Held in
-    // an optional so the async path can drop it across the unlocked wait and
-    // re-adopt the captured context afterwards.
-    std::optional<obs::TraceScope> trace(std::in_place, telemetry_);
-    LockHoldTimer hold(clock_, telemetry_);
+    // clock, telemetry and audit log are only touched here. The trace scope
+    // is per attempt: the successful attempt's id is the one the LinkResult
+    // reports.
+    Session session(*this);
     if (attempt == 0) clock_.advance_ms(2.0);  // parse charge, once
-    const double alloc_ms =
-        fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : solve_ms;
-    clock_.advance_ms(alloc_ms);
-    if (!alloc.ok()) {
-      if (alloc.error().code == ErrorCode::AllocFailed && auto_defrag_ &&
-          attempt < options.max_solve_retries) {
-        // The snapshot had the words but not the contiguity: compact, then
-        // burn a retry on the improved memory map instead of an unchanged
-        // one. Bounded like every retry — a genuinely full switch still
-        // exhausts the cap and reports AllocFailed.
-        conflict = alloc.error();
-        telemetry_->metrics.counter("ctrl.link.retries").inc();
-        defragment_locked(DefragOptions{});
-        continue;
-      }
-      record_event(ControlEvent::Kind::LinkFailed, 0, ir.name,
-                   alloc.error().str());
-      return alloc.error();
+    bool retry = false;
+    auto deployed = deploy_locked(
+        ir, 0,
+        Solved{std::move(allocs),
+               fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : solve_ms},
+        &session, attempt < options.max_solve_retries ? &retry : nullptr);
+    if (retry) {
+      // Re-snapshot and re-solve (after compacting, with auto-defrag on).
+      // Bounded like every retry — a genuinely full switch still exhausts
+      // the cap and reports AllocFailed.
+      conflict = deployed.error();
+      telemetry_->metrics.counter("ctrl.link.retries").inc();
+      if (auto_defrag_) defragment_locked(DefragOptions{});
+      continue;
     }
-    if (program_by_name_unlocked(ir.name) != nullptr ||
-        pending_names_.count(ir.name) != 0) {
-      const Error err{"a program named '" + ir.name + "' is already running",
-                      "Controller", ErrorCode::Conflict};
-      record_event(ControlEvent::Kind::LinkFailed, 0, ir.name, err.str());
-      return err;
-    }
-
-    const ProgramId id = next_program_id();
-    DeployTransaction txn(
-        DeployContext{dataplane_, resources_, updates_, telemetry_}, ir,
-        std::move(alloc).take(), id, ++filter_generation_, 0);
-    if (auto s = txn.reserve(); !s.ok()) {
-      recycle_failed_id(id);
-      if (s.error().code == ErrorCode::AllocFailed &&
-          attempt < options.max_solve_retries) {
-        // Another session took the resources between snapshot and lock:
-        // re-snapshot and re-solve.
-        conflict = s.error();
-        telemetry_->metrics.counter("ctrl.link.retries").inc();
-        if (auto_defrag_) defragment_locked(DefragOptions{});
-        continue;
-      }
-      telemetry_->monitor.txn_rolled_back(id, ir.name, s.error().str());
-      record_event(ControlEvent::Kind::LinkFailed, id, ir.name, s.error().str());
-      return s.error();
-    }
-    txn.plan_entries();
-    txn.stage();
-
-    const double update_start_ms = clock_.now_ms();
-    Result<InstalledProgram> installed = [&]() -> Result<InstalledProgram> {
-      if (!updates_.async()) return txn.commit();
-      // Pipelined commit: submit under the lock, park OFF-lock while the
-      // writer drains the channel, settle under the lock again. The name
-      // guard keeps concurrent sessions from double-booking the name while
-      // we are away; reservations and the staged batch are already ours.
-      pending_names_.insert(ir.name);
-      txn.commit_submit();
-      const obs::TraceContext ctx = telemetry_->active_trace;
-      trace.reset();  // shared state: never leave a context installed off-lock
-      hold.pause();
-      lock.unlock();
-      txn.commit_wait();
-      lock.lock();
-      hold.resume();
-      trace.emplace(telemetry_, ctx);  // finish-side spans carry our trace id
-      auto result = txn.commit_finish();
-      pending_names_.erase(ir.name);
-      return result;
-    }();
-    const double update_ms =
-        updates_.async() ? txn.channel_ms() : clock_.now_ms() - update_start_ms;
-    if (!installed.ok()) {
-      recycle_failed_id(id);
-      telemetry_->monitor.txn_rolled_back(id, ir.name, installed.error().str());
-      record_event(ControlEvent::Kind::LinkFailed, id, ir.name,
-                   installed.error().str());
-      return installed.error();
-    }
-    telemetry_->monitor.txn_committed(id, ir.name);
-    InstalledProgram program = std::move(installed).take();
-    program.tenant = tenant;
+    if (!deployed.ok()) return deployed.error();
+    adopt_locked(deployed.value(), tenant);
     charge_guard.armed = false;  // install owns the admission charge now
-    programs_.emplace(id, std::move(program));
-    record_event(ControlEvent::Kind::Link, id, ir.name);
+    record_event(ControlEvent::Kind::Link, deployed.value().result.id, ir.name);
 
-    LinkResult result;
-    result.id = id;
-    result.name = ir.name;
+    LinkResult result = std::move(deployed.value().result);
     result.stats.parse_ms = 2.0;
-    result.stats.alloc_ms = alloc_ms;
-    result.stats.update_ms = update_ms;
-    result.trace = trace->trace_id();
+    result.trace = session.trace_id();
     record_link_histograms(result);
     return result;
   }
@@ -484,7 +553,7 @@ Result<LinkResult> Controller::link_session_admitted(
 }
 
 Result<LinkResult> Controller::relink(ProgramId old_id, std::string_view source) {
-  std::lock_guard<std::mutex> lock(mu_);
+  Session session(*this);
   if (program_unlocked(old_id) == nullptr) {
     return Error{"no running program with id " + std::to_string(old_id),
                  "Controller", ErrorCode::NotFound};
@@ -494,112 +563,66 @@ Result<LinkResult> Controller::relink(ProgramId old_id, std::string_view source)
                      " has a revoke in flight on the async channel",
                  "Controller", ErrorCode::Conflict};
   }
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-  auto relink_span = telemetry_->tracer.span("relink", "ctrl");
-  auto compiled = rp::compile_source(source, telemetry_);
-  clock_.advance_ms(2.0);
+  auto relink_span =
+      telemetry_->tracer.span(chain_ != nullptr ? "chain_relink" : "relink", "ctrl");
+  auto compiled = compile_locked(source, /*single=*/true);
   if (!compiled.ok()) return compiled.error();
-  if (compiled.value().size() != 1) {
-    return Error{"relink expects exactly one program", "Controller",
-                 ErrorCode::InvalidArgument};
-  }
+  auto relinked = replace_locked(old_id, compiled.value().front(), std::nullopt, "");
+  if (relinked.ok()) relinked.value().trace = session.trace_id();
+  return relinked;
+}
 
-  // Install the new version first (it stays invisible until its filter
-  // lands, which outranks the old one), then retire the old version. The
-  // new version stays attributed to the old version's tenant.
-  const TenantId tenant = program_unlocked(old_id)->tenant;
-  auto linked = link_one_locked(compiled.value().front(), old_id, tenant);
-  if (!linked.ok()) return linked.error();
-  record_event(ControlEvent::Kind::Relink, linked.value().id,
-               compiled.value().front().name);
-  if (auto s = revoke_locked(old_id); !s.ok()) {
-    const Status undo = revoke_locked(linked.value().id);
-    assert(undo.ok());
-    (void)undo;
+Result<LinkResult> Controller::replace_locked(ProgramId old_id,
+                                              const rp::TranslatedProgram& ir,
+                                              std::optional<Solved> stored,
+                                              const std::string& detail) {
+  // The new version stays attributed to the old version's tenant.
+  const InstalledProgram& old_program = at(0).programs.at(old_id);
+  const TenantId tenant = old_program.tenant;
+  const std::string old_name = old_program.name;
+
+  // Install the new version first (invisible until its filters land on each
+  // hop, and the fresh filter generation outranks the old one); only then
+  // retire the old version.
+  auto deployed = deploy_locked(ir, old_id, std::move(stored), nullptr, nullptr);
+  if (!deployed.ok()) return deployed.error();
+  const ProgramId new_id = deployed.value().result.id;
+  int faulted_hop = -1;
+  if (auto s = remove_locked(old_id, nullptr, &faulted_hop); !s.ok()) {
+    // The old version was restored on every hop; unwind the new version so
+    // exactly the pre-relink truth remains (residual bytes included).
+    deployed.value().txn->unwind_commit();
+    recycle_failed_id(new_id);
+    announce_rollback(new_id, ir.name, faulted_hop, s.error());
+    record_event(ControlEvent::Kind::LinkFailed, new_id, ir.name, s.error().str());
     return s.error();
   }
-  linked.value().trace = trace.trace_id();
-  return linked;
+  adopt_locked(deployed.value(), tenant);
+  // Unchecked charge: a replacement is never blocked by a full quota — the
+  // old version's release above keeps the net usage unchanged.
+  tenants_.charge(tenant, memory_demand(ir), entry_demand(ir));
+  record_event(ControlEvent::Kind::Relink, new_id, ir.name, detail);
+  record_event(ControlEvent::Kind::Revoke, old_id, old_name);
+  return std::move(deployed.value().result);
 }
 
 Status Controller::revoke(ProgramId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!updates_.async()) {
-    obs::TraceScope trace(telemetry_);
-    LockHoldTimer hold(clock_, telemetry_);
-    return revoke_locked(id);
-  }
-
-  // Async revoke dance: submit the consistent remove under the lock, park
-  // off-lock while the writer drains it, settle under the lock again. The
-  // busy guard keeps relink/revoke sessions off this program while the
-  // writer owns its handle vectors.
-  const auto it = programs_.find(id);
-  if (it == programs_.end()) {
-    return Error{"no running program with id " + std::to_string(id), "Controller",
-                 ErrorCode::NotFound};
-  }
-  if (busy_ids_.count(id) != 0) {
-    return Error{"program " + std::to_string(id) +
-                     " already has a revoke in flight on the async channel",
-                 "Controller", ErrorCode::Conflict};
-  }
-  std::optional<obs::TraceScope> trace(std::in_place, telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-
-  std::map<int, std::uint32_t> entries_per_rpb;
-  for (const auto& [rpb, handle] : it->second.rpb_handles) {
-    (void)handle;
-    ++entries_per_rpb[rpb];
-  }
-  // Tenant footprint, captured now: a successful remove clears the
-  // program's placement and handle vectors.
-  const TenantId tenant = it->second.tenant;
-  const std::uint64_t tenant_words = footprint_words(it->second);
-  const auto tenant_entries =
-      static_cast<std::uint64_t>(it->second.rpb_handles.size());
-
-  busy_ids_.insert(id);
-  auto revoke_span = telemetry_->tracer.span("revoke", "ctrl");
-  auto pending = updates_.submit_remove(it->second);
-  const obs::TraceContext ctx = telemetry_->active_trace;
-  revoke_span.end();  // shared state: close before the unlocked wait
-  trace.reset();
-  hold.pause();
-  lock.unlock();
-  pending.done.wait();
-  lock.lock();
-  hold.resume();
-  trace.emplace(telemetry_, ctx);
-
-  // The busy guard kept the program in the map while we were away.
-  InstalledProgram& program = programs_.find(id)->second;
-  const Status removed = updates_.finish_remove(pending, program);
-  busy_ids_.erase(id);
-  if (!removed.ok()) {
-    // The removal journal restored the program (fresh handles); it keeps
-    // running and keeps all its resources.
-    telemetry_->monitor.txn_rolled_back(id, program.name, removed.error().str());
-    record_event(ControlEvent::Kind::RevokeFailed, id, program.name,
-                 removed.error().str());
-    return removed.error();
-  }
-  for (const auto& [rpb, count] : entries_per_rpb) {
-    resources_.release_entries(rpb, count);
-  }
-  resources_.erase_program(id);
-  dataplane_.clear_claim_counter(id);
-  tenants_.release(tenant, tenant_words, tenant_entries);
-  record_event(ControlEvent::Kind::Revoke, id, program.name);
-  free_ids_.push_back(id);
-  programs_.erase(id);
-  return {};
+  Session session(*this);
+  return revoke_locked(id, &session);
 }
 
-Status Controller::revoke_locked(ProgramId id) {
-  const auto it = programs_.find(id);
-  if (it == programs_.end()) {
+Status Controller::revoke_by_name(const std::string& name) {
+  Session session(*this);
+  if (const InstalledProgram* program = program_by_name_unlocked(name)) {
+    return revoke_locked(program->id, &session);
+  }
+  return Error{"no running program named '" + name + "'", "Controller",
+               ErrorCode::NotFound};
+}
+
+Status Controller::revoke_locked(ProgramId id, Session* park) {
+  const InstalledProgram* program = program_unlocked(id);
+  if (program == nullptr) {
     return Error{"no running program with id " + std::to_string(id), "Controller",
                  ErrorCode::NotFound};
   }
@@ -608,133 +631,330 @@ Status Controller::revoke_locked(ProgramId id) {
                      " has a revoke in flight on the async channel",
                  "Controller", ErrorCode::Conflict};
   }
-  auto revoke_span = telemetry_->tracer.span("revoke", "ctrl");
-  InstalledProgram& program = it->second;
-
-  std::map<int, std::uint32_t> entries_per_rpb;
-  for (const auto& [rpb, handle] : program.rpb_handles) {
-    (void)handle;
-    ++entries_per_rpb[rpb];
+  const std::string name = program->name;
+  auto revoke_span =
+      telemetry_->tracer.span(chain_ != nullptr ? "chain_revoke" : "revoke", "ctrl");
+  if (park != nullptr && pipelined()) revoke_span.end();  // no span open off-lock
+  int faulted_hop = -1;
+  if (auto s = remove_locked(id, park, &faulted_hop); !s.ok()) {
+    // The removal restored the program on every hop (fresh handles); it
+    // keeps running and keeps all its resources.
+    announce_rollback(id, name, faulted_hop, s.error());
+    record_event(ControlEvent::Kind::RevokeFailed, id, name, s.error().str());
+    return s;
   }
-  // Tenant footprint, captured now: a successful remove clears the
-  // program's placement and handle vectors.
-  const TenantId tenant = program.tenant;
-  const std::uint64_t tenant_words = footprint_words(program);
-  const auto tenant_entries =
-      static_cast<std::uint64_t>(program.rpb_handles.size());
-
-  if (auto s = updates_.remove(program); !s.ok()) {
-    // The removal journal restored the program (fresh handles); it keeps
-    // running and keeps all its resources.
-    telemetry_->monitor.txn_rolled_back(id, program.name, s.error().str());
-    record_event(ControlEvent::Kind::RevokeFailed, id, program.name,
-                 s.error().str());
-    return s.error();
-  }
-
-  for (const auto& [rpb, count] : entries_per_rpb) {
-    resources_.release_entries(rpb, count);
-  }
-  resources_.erase_program(id);
-  dataplane_.clear_claim_counter(id);
-  tenants_.release(tenant, tenant_words, tenant_entries);
-  record_event(ControlEvent::Kind::Revoke, id, program.name);
-  free_ids_.push_back(id);
-  programs_.erase(it);
+  record_event(ControlEvent::Kind::Revoke, id, name);
   return {};
 }
 
-Status Controller::revoke_by_name(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-  for (const auto& [id, program] : programs_) {
-    if (program.name == name) return revoke_locked(id);
+Status Controller::remove_locked(ProgramId id, Session* park, int* faulted_hop) {
+  const std::size_t hops = hops_.size();
+  // Tenant footprint and per-hop entry counts, captured now: a successful
+  // remove clears the program's placement and handle vectors. Pre-removal
+  // images too, but only a fault on ANOTHER hop needs them: a hop's own
+  // journal restores it, so a single switch captures none.
+  const InstalledProgram& first = at(0).programs.at(id);
+  const TenantId tenant = first.tenant;
+  const std::uint64_t tenant_words = footprint_words(first);
+  const auto tenant_entries = static_cast<std::uint64_t>(first.rpb_handles.size());
+  std::vector<std::map<int, std::uint32_t>> entries;
+  std::vector<HopImage> images;
+  for (std::size_t h = 0; h < hops; ++h) {
+    const InstalledProgram& program = hops_[h]->programs.at(id);
+    entries.push_back(entries_per_rpb(program));
+    if (hops > 1) images.push_back(capture_image(static_cast<int>(h), program));
   }
-  return Error{"no running program named '" + name + "'", "Controller",
-               ErrorCode::NotFound};
+
+  const bool pipelined = this->pipelined();
+  std::vector<UpdateEngine::PendingWrite> pending;
+  if (pipelined) {
+    // Submit every hop's consistent remove up front so the per-hop channels
+    // drain concurrently; settle in hop order below.
+    for (auto& hop : hops_) {
+      pending.push_back(hop->updates.submit_remove(hop->programs.at(id)));
+    }
+    if (park != nullptr) {
+      // The busy guard keeps relink/revoke sessions off this program while
+      // the writers own its handle vectors.
+      busy_ids_.insert(id);
+      park->park([&] {
+        for (auto& write : pending) write.done.wait();
+      });
+      busy_ids_.erase(id);
+    }
+  }
+
+  std::vector<bool> removed(hops, false);
+  int fault = -1;
+  Status error;
+  for (std::size_t h = 0; h < hops; ++h) {
+    Hop& hop = *hops_[h];
+    InstalledProgram& program = hop.programs.at(id);
+    const Status s = pipelined ? hop.updates.finish_remove(pending[h], program)
+                               : hop.updates.remove(program);
+    if (!s.ok()) {
+      // Hop h's removal journal restored the program there (fresh handles,
+      // resources intact). Pipelined, keep settling the remaining hops —
+      // their writes are already in flight.
+      if (fault < 0) {
+        fault = static_cast<int>(h);
+        error = s;
+      }
+      if (!pipelined) break;
+      continue;
+    }
+    removed[h] = true;
+    for (const auto& [rpb, count] : entries[h]) hop.resources.release_entries(rpb, count);
+    hop.resources.erase_program(id);
+    hop.dataplane.clear_claim_counter(id);
+    hop.programs.erase(id);
+  }
+  if (fault >= 0) {
+    // Re-install every hop that removed cleanly (pipelined: including hops
+    // after the faulted one), nearest to the fault first.
+    for (std::size_t g = hops; g-- > 0;) {
+      if (removed[g]) reinstall_hop(static_cast<int>(g), std::move(images[g]));
+    }
+    *faulted_hop = fault;
+    return error;
+  }
+  tenants_.release(tenant, tenant_words, tenant_entries);
+  free_ids_.push_back(id);
+  return {};
+}
+
+Controller::HopImage Controller::capture_image(int hop,
+                                               const InstalledProgram& program) const {
+  HopImage image;
+  image.program = program;
+  for (const auto& [vmem, placement] : program.placements) {
+    image.words.emplace(vmem, read_block(at(hop).dataplane, placement));
+  }
+  return image;
+}
+
+void Controller::reinstall_hop(int hop, HopImage image) {
+  Hop& h = at(hop);
+  const ProgramId id = image.program.id;
+
+  // The exact blocks are provably still free: nothing allocated between the
+  // removal and this unwind (session lock). A reclaim failure is a journal
+  // bug, same convention as the single-switch rollback.
+  for (const auto& [vmem, placement] : image.program.placements) {
+    (void)vmem;
+    const Status reclaimed = h.resources.reclaim_block(placement.rpb, placement.block);
+    assert(reclaimed.ok() && "chain unwind reclaim must not fail");
+    (void)reclaimed;
+  }
+  for (const auto& [rpb, count] : entries_per_rpb(image.program)) {
+    const Status reserved = h.resources.reserve_entries(rpb, count);
+    assert(reserved.ok() && "chain unwind re-reserve must not fail");
+    (void)reserved;
+  }
+
+  // Replay the install: saved memory contents first, then the entry plan in
+  // consistent-update order. The engine hands back fresh handles.
+  dp::WriteBatch batch;
+  for (const auto& [vmem, placement] : image.program.placements) {
+    batch.write_mem_range(placement.rpb, placement.block.base,
+                          std::move(image.words.at(vmem)), vmem);
+  }
+  rp::stage_install(image.program.plan, batch);
+  auto applied = h.updates.execute_install(batch);
+  assert(applied.ok() && "chain unwind reinstall must not fault");
+  image.program.filter_handles = std::move(applied.value().filter_handles);
+  image.program.rpb_handles = std::move(applied.value().rpb_handles);
+  image.program.recirc_handles = std::move(applied.value().recirc_handles);
+  h.resources.record_program(id, image.program.placements);
+  h.programs.insert_or_assign(id, std::move(image.program));
+}
+
+Result<std::vector<rp::AllocationResult>> Controller::solve_hops(
+    const rp::TranslatedProgram& ir,
+    const std::vector<ResourceManager::Snapshot>& snapshots,
+    obs::Telemetry* telemetry) {
+  // Occupancies evolve in lockstep, so the per-hop solves are expected to
+  // agree (check_chain enforces it).
+  std::vector<std::future<Result<rp::AllocationResult>>> futures;
+  for (std::size_t h = 1; h < hops_.size(); ++h) {
+    futures.push_back(solve_pool_->submit(
+        [&ir, &snapshot = snapshots[h], &spec = hops_[h]->dataplane.spec(),
+         objective = objective_] {
+          return rp::solve_allocation(ir, spec, snapshot, objective, nullptr);
+        }));
+  }
+  std::vector<Result<rp::AllocationResult>> results;
+  results.push_back(rp::solve_allocation(ir, at(0).dataplane.spec(), snapshots[0],
+                                         objective_, telemetry));
+  for (auto& future : futures) results.push_back(future.get());
+
+  std::vector<rp::AllocationResult> allocs;
+  allocs.reserve(results.size());
+  for (auto& result : results) {
+    if (!result.ok()) return result.error();
+    allocs.push_back(std::move(result).take());
+  }
+  return allocs;
+}
+
+Status Controller::check_chain(const rp::TranslatedProgram& ir,
+                               const std::vector<rp::AllocationResult>& allocs) const {
+  for (std::size_t h = 1; h < allocs.size(); ++h) {
+    if (allocs[h].x != allocs[0].x || allocs[h].vmem_rpb != allocs[0].vmem_rpb) {
+      return Error{"per-hop allocations diverged at hop " + std::to_string(h) +
+                       " — chain occupancies must evolve in lockstep",
+                   "Controller", ErrorCode::Conflict};
+    }
+  }
+  const int total_rpbs = at(0).dataplane.spec().total_rpbs();
+  if (auto s = dp::SwitchChain::chain_compatibility(ir.vmem_depths, allocs[0].x,
+                                                    total_rpbs);
+      !s.ok()) {
+    return s;
+  }
+  if (allocs[0].rounds > length()) {
+    return Error{"program '" + ir.name + "' needs " +
+                     std::to_string(allocs[0].rounds) + " rounds but the chain "
+                     "has only " + std::to_string(length()) + " hops",
+                 "Controller", ErrorCode::InvalidArgument};
+  }
+  return {};
+}
+
+std::vector<ResourceManager::Snapshot> Controller::snapshots() const {
+  std::vector<ResourceManager::Snapshot> snaps;
+  snaps.reserve(hops_.size());
+  for (const auto& hop : hops_) snaps.push_back(hop->resources.snapshot());
+  return snaps;
+}
+
+bool Controller::pipelined() const {
+  for (const auto& hop : hops_) {
+    if (!hop->updates.async()) return false;
+  }
+  return true;
+}
+
+std::unique_lock<std::mutex> Controller::quiesced() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (const auto& hop : hops_) hop->updates.wait_idle();
+  return lock;
 }
 
 void Controller::set_async_writes(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.set_async(enabled);
+  for (auto& hop : hops_) hop->updates.set_async(enabled);
 }
 
 bool Controller::async_writes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return updates_.async();
+  return pipelined();
 }
 
-const InstalledProgram* Controller::program_unlocked(ProgramId id) const {
-  const auto it = programs_.find(id);
-  return it == programs_.end() ? nullptr : &it->second;
+const InstalledProgram* Controller::program_unlocked(ProgramId id, int hop) const {
+  const auto& programs = at(hop).programs;
+  const auto it = programs.find(id);
+  return it == programs.end() ? nullptr : &it->second;
 }
 
 const InstalledProgram* Controller::program_by_name_unlocked(
     const std::string& name) const {
-  for (const auto& [id, program] : programs_) {
+  for (const auto& [id, program] : at(0).programs) {
     if (program.name == name) return &program;
   }
   return nullptr;
 }
 
 const InstalledProgram* Controller::program(ProgramId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  const auto lock = quiesced();
   return program_unlocked(id);
 }
 
 const InstalledProgram* Controller::program_by_name(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  const auto lock = quiesced();
   return program_by_name_unlocked(name);
 }
 
+const InstalledProgram* Controller::program_at(int hop, ProgramId id) const {
+  const auto lock = quiesced();
+  return program_unlocked(id, hop);
+}
+
 std::vector<ProgramId> Controller::running_programs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  const auto lock = quiesced();
   std::vector<ProgramId> ids;
-  ids.reserve(programs_.size());
-  for (const auto& [id, program] : programs_) ids.push_back(id);
+  ids.reserve(at(0).programs.size());
+  for (const auto& [id, program] : at(0).programs) ids.push_back(id);
   return ids;
 }
 
 std::size_t Controller::program_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return programs_.size();
+  const auto lock = quiesced();
+  return at(0).programs.size();
 }
 
 std::deque<ControlEvent> Controller::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  const auto lock = quiesced();
   return events_;
+}
+
+int Controller::hop_of(int logical_rpb) const {
+  if (chain_ == nullptr) return 0;
+  return dp::recirc_round(logical_rpb, at(0).dataplane.spec().total_rpbs());
+}
+
+Result<int> Controller::owning_hop_unlocked(ProgramId id,
+                                            const std::string& vmem) const {
+  if (chain_ == nullptr) return 0;  // one switch holds every memory
+  const InstalledProgram* program = program_unlocked(id);
+  if (program == nullptr) {
+    return Error{"unknown program", "Controller", ErrorCode::NotFound};
+  }
+  const auto it = program->ir.vmem_depths.find(vmem);
+  if (it == program->ir.vmem_depths.end() || it->second.empty()) {
+    return Error{"unknown memory '" + vmem + "'", "Controller", ErrorCode::NotFound};
+  }
+  // Chain compatibility guarantees every access shares one round = one hop.
+  return hop_of(program->alloc.x[static_cast<std::size_t>(it->second.front() - 1)]);
+}
+
+Result<int> Controller::owning_hop(ProgramId id, const std::string& vmem) const {
+  const auto lock = quiesced();
+  return owning_hop_unlocked(id, vmem);
 }
 
 Result<Word> Controller::read_memory(ProgramId id, const std::string& vmem,
                                      MemAddr vaddr) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return resources_.read_virtual(dataplane_, id, vmem, vaddr);
+  const auto lock = quiesced();
+  auto hop = owning_hop_unlocked(id, vmem);
+  if (!hop.ok()) return hop.error();
+  const Hop& h = at(hop.value());
+  return h.resources.read_virtual(h.dataplane, id, vmem, vaddr);
 }
 
 std::vector<rmt::Packet> Controller::drain_reports() {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return dataplane_.pipeline().drain_cpu_queue();
+  const auto lock = quiesced();
+  std::vector<rmt::Packet> reports;
+  for (auto& hop : hops_) {
+    auto drained = hop->dataplane.pipeline().drain_cpu_queue();
+    reports.insert(reports.end(), std::make_move_iterator(drained.begin()),
+                   std::make_move_iterator(drained.end()));
+  }
+  return reports;
 }
 
 std::uint64_t Controller::program_packets(ProgramId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return dataplane_.claimed_packets(id);
+  const auto lock = quiesced();
+  return at(0).dataplane.claimed_packets(id);
 }
 
 Result<std::vector<Word>> Controller::dump_memory(ProgramId id,
                                                   const std::string& vmem) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  const auto* placements = resources_.program_placements(id);
+  const auto lock = quiesced();
+  auto hop = owning_hop_unlocked(id, vmem);
+  if (!hop.ok()) return hop.error();
+  const Hop& h = at(hop.value());
+  const auto* placements = h.resources.program_placements(id);
   if (placements == nullptr) {
     return Error{"unknown program", "Controller", ErrorCode::NotFound};
   }
@@ -742,19 +962,12 @@ Result<std::vector<Word>> Controller::dump_memory(ProgramId id,
   if (it == placements->end()) {
     return Error{"unknown memory '" + vmem + "'", "Controller", ErrorCode::NotFound};
   }
-  std::vector<Word> out;
-  out.reserve(it->second.block.size);
-  const auto& memory = dataplane_.rpb(it->second.rpb).memory();
-  for (std::uint32_t a = 0; a < it->second.block.size; ++a) {
-    out.push_back(memory.read(it->second.block.base + a));
-  }
-  return out;
+  return read_block(h.dataplane, it->second);
 }
 
 Result<rmt::HashAlgo> Controller::hash_algo_for(ProgramId id,
                                                 const std::string& vmem) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  const auto lock = quiesced();
   const InstalledProgram* prog = program_unlocked(id);
   if (prog == nullptr) {
     return Error{"unknown program", "Controller", ErrorCode::NotFound};
@@ -764,8 +977,9 @@ Result<rmt::HashAlgo> Controller::hash_algo_for(ProgramId id,
                             node.op.kind == dp::OpKind::HashHarMem;
     if (!hashes_mem || node.op.vmem != vmem) continue;
     const int logical = prog->alloc.x[static_cast<std::size_t>(node.depth - 1)];
-    const int phys = dp::physical_rpb(logical, dataplane_.spec().total_rpbs());
-    return dataplane_.rpb(phys).hash16_algo();
+    const dp::RunproDataplane& dataplane = at(hop_of(logical)).dataplane;
+    const int phys = dp::physical_rpb(logical, dataplane.spec().total_rpbs());
+    return dataplane.rpb(phys).hash16_algo();
   }
   return Error{"program has no hash-addressed access to '" + vmem + "'",
                "Controller", ErrorCode::NotFound};
@@ -773,43 +987,45 @@ Result<rmt::HashAlgo> Controller::hash_algo_for(ProgramId id,
 
 Status Controller::write_memory(ProgramId id, const std::string& vmem, MemAddr vaddr,
                                 Word value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Quiesce the async channel: the writer owns the dataplane while jobs are
-  // in flight, and a CPU-side memory write must not race its entry writes.
-  updates_.wait_idle();
-  return resources_.write_virtual(dataplane_, id, vmem, vaddr, value);
+  // Quiesce the async channels: the writers own the dataplanes while jobs
+  // are in flight, and a CPU-side memory write must not race their writes.
+  const auto lock = quiesced();
+  auto hop = owning_hop_unlocked(id, vmem);
+  if (!hop.ok()) return hop.error();
+  Hop& h = at(hop.value());
+  return h.resources.write_virtual(h.dataplane, id, vmem, vaddr, value);
 }
 
 Result<DefragReport> Controller::defragment(DefragOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
+  Session session(*this);
   return defragment_locked(options);
 }
 
 DefragReport Controller::defragment_locked(const DefragOptions& options) {
   auto defrag_span = telemetry_->tracer.span("defrag", "ctrl");
-  // Quiesce the channel: a move revokes the old copy, and the writer must
+  // Quiesce the channels: a move revokes the old copy, and the writers must
   // not own any handle vectors while we walk the program table. Moves
-  // themselves commit inline *through* the writer in async mode.
-  updates_.wait_idle();
-  updates_.set_maintenance(true);
+  // themselves commit inline *through* the writers in async mode.
+  for (auto& hop : hops_) hop->updates.wait_idle();
+  for (auto& hop : hops_) hop->updates.set_maintenance(true);
 
+  // Hops move in lockstep, so hop 0's books stand for every hop's.
+  const ResourceManager& books = at(0).resources;
   DefragReport report;
-  report.frag_start = resources_.total_fragmentation_words();
+  report.frag_start = books.total_fragmentation_words();
   std::set<ProgramId> skip;  // programs whose move failed this pass
   while (static_cast<int>(report.moves.size()) < options.max_moves) {
-    const std::uint64_t frag_now = resources_.total_fragmentation_words();
+    const std::uint64_t frag_now = books.total_fragmentation_words();
     if (frag_now < options.min_gain_words) break;
 
     // Pick the move with the best *simulated* gain. Simulation replays the
     // exact reserve/release walk the transaction will take, so "gain" here
     // is what the metric will actually do — the monotonicity guarantee is
     // decided before any state changes.
-    const auto snap = resources_.snapshot();
+    const auto snap = books.snapshot();
     ProgramId best_id = 0;
     std::uint64_t best_after = frag_now;
-    for (const auto& [id, program] : programs_) {
+    for (const auto& [id, program] : at(0).programs) {
       if (busy_ids_.count(id) != 0 || skip.count(id) != 0) continue;
       if (program.placements.empty()) continue;
       std::uint64_t after = 0;
@@ -821,7 +1037,16 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
     }
     if (best_id == 0 || frag_now - best_after < options.min_gain_words) break;
 
-    auto moved = compact_program_locked(best_id);
+    // Migrate: commit a copy at its stored allocation (same pinned stages,
+    // fresh first-fit placements; replacing = old id carries the memory
+    // bytes over inside the same transaction), then retire the old copy.
+    // The IR is a local copy: the transaction holds it by reference, and
+    // retiring the old copy erases its map node.
+    const rp::TranslatedProgram ir = at(0).programs.at(best_id).ir;
+    std::vector<rp::AllocationResult> stored;
+    for (const auto& hop : hops_) stored.push_back(hop->programs.at(best_id).alloc);
+    auto moved = replace_locked(best_id, ir, Solved{std::move(stored), 0.0},
+                                "defrag move");
     if (!moved.ok()) {
       // Rolled back (injected fault or transient entry pressure): state is
       // exactly as before the attempt. Skip the program for this pass.
@@ -829,16 +1054,16 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
       skip.insert(best_id);
       continue;
     }
-    const std::uint64_t frag_after = resources_.total_fragmentation_words();
+    const std::uint64_t frag_after = books.total_fragmentation_words();
     assert(frag_after == best_after && "defrag move diverged from simulation");
 
     DefragMove move;
     move.old_id = best_id;
-    move.new_id = moved.value();
-    move.name = programs_.at(moved.value()).name;
+    move.new_id = moved.value().id;
+    move.name = moved.value().name;
     move.frag_before = frag_now;
     move.frag_after = frag_after;
-    telemetry_->monitor.defrag_moved(best_id, moved.value(), move.name, frag_now,
+    telemetry_->monitor.defrag_moved(best_id, move.new_id, move.name, frag_now,
                                      frag_after);
     auto& m = telemetry_->metrics;
     m.counter("ctrl.defrag.moves").inc();
@@ -846,59 +1071,12 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
     report.moves.push_back(std::move(move));
   }
 
-  updates_.set_maintenance(false);
-  report.frag_end = resources_.total_fragmentation_words();
+  for (auto& hop : hops_) hop->updates.set_maintenance(false);
+  report.frag_end = books.total_fragmentation_words();
   telemetry_->metrics.counter("ctrl.defrag.passes").inc();
   defrag_span.arg("moves", static_cast<std::uint64_t>(report.moves.size()));
   defrag_span.arg("reclaimed_words", report.frag_start - report.frag_end);
   return report;
-}
-
-Result<ProgramId> Controller::compact_program_locked(ProgramId old_id) {
-  const InstalledProgram& old_program = programs_.at(old_id);
-  // Local copies: the transaction holds the IR by reference for its whole
-  // lifetime, and revoking the old copy erases its map node mid-function.
-  const rp::TranslatedProgram ir = old_program.ir;
-  rp::AllocationResult alloc = old_program.alloc;
-  const TenantId tenant = old_program.tenant;
-
-  // Same pinned stages (the stored alloc), fresh first-fit placements;
-  // replacing=old_id carries the old copy's memory bytes into the new
-  // blocks inside the same transaction, so program state survives the move.
-  const ProgramId new_id = next_program_id();
-  DeployTransaction txn(
-      DeployContext{dataplane_, resources_, updates_, telemetry_}, ir,
-      std::move(alloc), new_id, ++filter_generation_, old_id);
-  if (auto s = txn.reserve(); !s.ok()) {
-    recycle_failed_id(new_id);
-    telemetry_->monitor.txn_rolled_back(new_id, ir.name, s.error().str());
-    return s.error();
-  }
-  txn.plan_entries();
-  txn.stage();
-  auto installed = txn.commit();
-  if (!installed.ok()) {
-    recycle_failed_id(new_id);
-    telemetry_->monitor.txn_rolled_back(new_id, ir.name, installed.error().str());
-    record_event(ControlEvent::Kind::LinkFailed, new_id, ir.name,
-                 installed.error().str());
-    return installed.error();
-  }
-  telemetry_->monitor.txn_committed(new_id, ir.name);
-  InstalledProgram program = std::move(installed).take();
-  program.tenant = tenant;
-  tenants_.charge(tenant, memory_demand(ir), entry_demand(ir));
-  programs_.emplace(new_id, std::move(program));
-  record_event(ControlEvent::Kind::Relink, new_id, ir.name, "defrag move");
-
-  if (auto s = revoke_locked(old_id); !s.ok()) {
-    // Old copy rolled back into service; retire the new copy instead.
-    const Status undo = revoke_locked(new_id);
-    assert(undo.ok());
-    (void)undo;
-    return s.error();
-  }
-  return new_id;
 }
 
 void Controller::set_auto_defrag(bool enabled) {

@@ -2,6 +2,17 @@
 // Drives the full link pipeline (parse -> check -> translate -> allocate ->
 // generate entries -> consistent update) and program lifecycle
 // (monitor / revoke), mirroring the prototype's runtime CLI (paper §5).
+//
+// One controller drives 1..N hops (paper §4.1.3: a chain of switches is
+// recirculation spread over several switches, under the same control
+// model). The constructor picks the mode: a RunproDataplane is one
+// recirculating switch; a SwitchChain mirrors every program on every hop
+// under one ProgramId (RPB entry keys embed the program id and the
+// recirculation id doubles as the hop count, so ids must match chain-wide).
+// Each hop keeps its own books — resource manager, update engine and
+// installed programs — and every mutation runs through one deploy body (a
+// ChainTransaction with one DeployTransaction per hop) and one removal
+// body (chain-wide consistent remove with per-hop rollback).
 #pragma once
 
 #include <deque>
@@ -20,11 +31,13 @@
 #include "compiler/compiler.h"
 #include "compiler/solver.h"
 #include "control/admission.h"
+#include "control/chain_txn.h"
 #include "control/defrag.h"
 #include "control/resource_manager.h"
 #include "control/tenant.h"
 #include "control/update_engine.h"
 #include "dataplane/runpro_dataplane.h"
+#include "dataplane/switch_chain.h"
 
 namespace p4runpro::obs {
 struct Telemetry;
@@ -88,18 +101,29 @@ struct SessionSpec {
 
 class Controller {
  public:
-  /// `telemetry` routes all observations (metrics, phase spans) of this
-  /// controller, its update engine, resource manager and the dataplane's
-  /// pipeline through one bundle; null selects obs::default_telemetry().
+  /// One recirculating switch. `telemetry` routes all observations
+  /// (metrics, phase spans) of this controller, its update engine, resource
+  /// manager and the dataplane's pipeline through one bundle; null selects
+  /// obs::default_telemetry().
   Controller(dp::RunproDataplane& dataplane, SimClock& clock,
              rp::Objective objective = {}, BfrtCostModel cost = {},
              obs::Telemetry* telemetry = nullptr);
+
+  /// A switch chain: every program is mirrored on every hop. The chain must
+  /// have uniform specs (checked on every deploy; see
+  /// dp::SwitchChain::uniform_specs). Unlike the single-switch mode this
+  /// attaches no pipeline observer and no resource probes — hop-level
+  /// gauges would collide in one registry; the chain-wide monitor events
+  /// (chain_txn_commit / chain_txn_rollback) are the chain's lifecycle feed.
+  Controller(dp::SwitchChain& chain, SimClock& clock, rp::Objective objective = {},
+             BfrtCostModel cost = {}, obs::Telemetry* telemetry = nullptr);
 
   /// Link every program of a source unit to the running data plane.
   /// All-or-nothing: on failure no program of the unit stays linked.
   Result<std::vector<LinkResult>> link(std::string_view source);
 
-  /// Link a unit expected to contain exactly one program.
+  /// Link a unit that must contain exactly one program. Any other count is
+  /// rejected (InvalidArgument, audited as LinkFailed) before any deploy.
   Result<LinkResult> link_single(std::string_view source);
 
   /// Concurrent link sessions: link every source (each a single-program
@@ -129,46 +153,56 @@ class Controller {
   /// Incremental update (paper §7): atomically replace a running program
   /// with a new version compiled from `source`, preserving the contents of
   /// virtual memories present in both versions. The new version is fully
-  /// installed before the old one is disabled, so traffic always sees
-  /// exactly one complete version.
+  /// installed (on every hop) before the old one is retired, so traffic
+  /// always sees exactly one complete version. A fault while retiring the
+  /// old version restores it everywhere and unwinds the new one.
   Result<LinkResult> relink(ProgramId old_id, std::string_view source);
 
-  /// Consistently remove a running program and release its resources. A
-  /// control-channel fault mid-removal rolls the removal back: the program
-  /// keeps running (with fresh entry handles) and the error is returned.
+  /// Consistently remove a running program (from every hop) and release its
+  /// resources. A control-channel fault mid-removal rolls the removal back:
+  /// the program keeps running (with fresh entry handles) and the error is
+  /// returned.
   Status revoke(ProgramId id);
   /// Revoke by program name (names are unique among running programs).
   Status revoke_by_name(const std::string& name);
 
-  /// Toggle the asynchronous control channel: a per-engine writer thread
-  /// drains committed op-logs through the simulated bfrt channel so commit
-  /// paths can release the session lock (or pipeline hops) while writes are
-  /// in flight (docs/ARCHITECTURE.md "Async control channel"). Off by
-  /// default; toggling drains any in-flight writes first. Call with no
-  /// deployment in progress.
+  /// Toggle the asynchronous control channel on every hop: a per-engine
+  /// writer thread drains committed op-logs through the simulated bfrt
+  /// channel so commit paths can release the session lock (and pipeline
+  /// hops) while writes are in flight (docs/ARCHITECTURE.md "Async control
+  /// channel"). Off by default; toggling drains any in-flight writes first.
+  /// Call with no deployment in progress.
   void set_async_writes(bool enabled);
   [[nodiscard]] bool async_writes() const;
 
   // --- monitoring --------------------------------------------------------
-  // Read-side queries take the session lock and quiesce the async channel
-  // (writer drained) before reading, so they are safe to call while
+  // Read-side queries take the session lock and quiesce the async channels
+  // (writers drained) before reading, so they are safe to call while
   // sessions run on other threads. The pointer-returning queries release
   // the lock before returning: the pointee is stable (map nodes never
   // move) but its *contents* are only guaranteed until the next mutating
   // call on this controller — hold results across sessions by value, not by
-  // pointer.
+  // pointer. Single-program views read hop 0.
   [[nodiscard]] const InstalledProgram* program(ProgramId id) const;
   [[nodiscard]] const InstalledProgram* program_by_name(const std::string& name) const;
+  [[nodiscard]] const InstalledProgram* program_at(int hop, ProgramId id) const;
   [[nodiscard]] std::vector<ProgramId> running_programs() const;
   [[nodiscard]] std::size_t program_count() const;
 
-  /// Control-plane memory access (virtual addresses).
+  /// The hop whose switch physically holds `vmem` of program `id`: the hop
+  /// of the (single, chain-compatibility-guaranteed) round that accesses it.
+  /// Always 0 on a single switch.
+  [[nodiscard]] Result<int> owning_hop(ProgramId id, const std::string& vmem) const;
+
+  /// Control-plane memory access (virtual addresses), routed to the owning
+  /// hop.
   [[nodiscard]] Result<Word> read_memory(ProgramId id, const std::string& vmem,
                                          MemAddr vaddr) const;
-  /// Drain the packets REPORTed to the switch CPU since the last drain
-  /// (e.g. heavy-hitter notifications).
+  /// Drain the packets REPORTed to the switch CPUs since the last drain
+  /// (e.g. heavy-hitter notifications), in hop order.
   [[nodiscard]] std::vector<rmt::Packet> drain_reports();
-  /// Packets the program's filter has claimed since it was linked.
+  /// Packets the program's filter has claimed since it was linked (at the
+  /// chain entry: hop 0 sees every packet).
   [[nodiscard]] std::uint64_t program_packets(ProgramId id) const;
   /// Dump a whole virtual memory block (the resource manager's
   /// memory-monitoring path, §3.1).
@@ -187,9 +221,16 @@ class Controller {
   /// safe to iterate while sessions keep appending.
   [[nodiscard]] std::deque<ControlEvent> events() const;
 
-  [[nodiscard]] ResourceManager& resources() noexcept { return resources_; }
-  [[nodiscard]] UpdateEngine& updates() noexcept { return updates_; }
-  [[nodiscard]] const ResourceManager& resources() const noexcept { return resources_; }
+  /// Number of hops (1 for a single switch).
+  [[nodiscard]] int length() const noexcept { return static_cast<int>(hops_.size()); }
+  /// Per-hop internals (fault injection arms exactly one hop's engine).
+  /// Unlocked test-harness access — do not call while sessions run on other
+  /// threads.
+  [[nodiscard]] ResourceManager& resources(int hop = 0) { return at(hop).resources; }
+  [[nodiscard]] const ResourceManager& resources(int hop = 0) const {
+    return at(hop).resources;
+  }
+  [[nodiscard]] UpdateEngine& updates(int hop = 0) { return at(hop).updates; }
   [[nodiscard]] rp::Objective objective() const noexcept { return objective_; }
   void set_objective(rp::Objective objective) noexcept { objective_ = objective; }
 
@@ -198,8 +239,8 @@ class Controller {
   [[nodiscard]] const obs::Telemetry& telemetry() const noexcept { return *telemetry_; }
 
   /// Shortcuts into the bundle's data-plane health instrumentation: the
-  /// per-program monitor attached to the pipeline as packet observer, and
-  /// the flight recorder it freezes when an alert trips.
+  /// per-program monitor (a single switch's pipeline observer), and the
+  /// flight recorder it freezes when an alert trips.
   [[nodiscard]] obs::ProgramHealthMonitor& monitor() noexcept;
   [[nodiscard]] const obs::ProgramHealthMonitor& monitor() const noexcept;
   [[nodiscard]] obs::FlightRecorder& flight_recorder() noexcept;
@@ -215,7 +256,8 @@ class Controller {
   // (docs/ARCHITECTURE.md "Multi-tenant control plane")
 
   /// Per-tenant quotas and usage. Internally synchronized; register quotas
-  /// before launching the tenant's sessions.
+  /// before launching the tenant's sessions. A chain program is charged
+  /// once, at its IR demand, not once per hop.
   [[nodiscard]] TenantRegistry& tenants() noexcept { return tenants_; }
   [[nodiscard]] const TenantRegistry& tenants() const noexcept { return tenants_; }
 
@@ -231,9 +273,10 @@ class Controller {
   /// Run one defragmentation pass: greedily migrate installed programs
   /// (best simulated fragmentation gain first) through relink transactions
   /// until no move gains at least `min_gain_words` or `max_moves` is
-  /// reached. Quiesces the async channel first; commits route through the
-  /// writer (inline) in async mode. The fragmentation metric is
-  /// non-increasing across every executed move by construction.
+  /// reached. Quiesces the async channels first; commits route through the
+  /// writers (inline) in async mode. The fragmentation metric is
+  /// non-increasing across every executed move by construction; on a chain
+  /// every move runs on every hop, so the hops' books stay in lockstep.
   Result<DefragReport> defragment(DefragOptions options = {});
 
   /// Auto-defrag: when a session's reservation fails with AllocFailed, run
@@ -247,37 +290,135 @@ class Controller {
  private:
   // Locking discipline (docs/ARCHITECTURE.md "Async control channel"): all
   // mutations of controller/resource/clock/telemetry state happen under
-  // mu_. Public mutators take the lock and delegate to the *_locked
-  // internals; link_many workers do their pure compute (compile, solve)
-  // off-lock against snapshots and re-enter mu_ for reserve+commit. Const
-  // queries take mu_ and quiesce the async channel before reading (use the
-  // *_unlocked internals from code already holding mu_ — the public
-  // versions would self-deadlock). Dataplane writes are serialized by the
-  // engine: on the caller's thread under mu_ in serial mode, on the single
-  // writer thread in async mode (the writer never takes mu_, which is why
-  // quiescing under mu_ is deadlock-free). Async sessions that release mu_
-  // mid-commit leave a guard behind — pending_names_ for an in-flight
-  // install, busy_ids_ for an in-flight revoke — so concurrent sessions
-  // can't double-book a name or mutate a program the writer still owns.
-  Result<std::vector<LinkResult>> link_locked(std::string_view source);
-  Result<LinkResult> link_one_locked(const rp::TranslatedProgram& ir,
-                                     ProgramId replacing = 0,
-                                     TenantId tenant = 0);
+  // mu_. Public mutators take the lock (a Session) and delegate to the
+  // *_locked internals; link_many workers do their pure compute (compile,
+  // solve) off-lock against snapshots and re-enter mu_ for reserve+commit.
+  // Const queries take mu_ and quiesce the async channels before reading
+  // (use the *_unlocked internals from code already holding mu_ — the
+  // public versions would self-deadlock). Dataplane writes are serialized
+  // per hop by its engine: on the caller's thread under mu_ in serial mode,
+  // on the engine's writer thread in async mode (writers never take mu_,
+  // which is why quiescing under mu_ is deadlock-free). Async sessions that
+  // release mu_ mid-commit leave a guard behind — pending_names_ for an
+  // in-flight install, busy_ids_ for an in-flight revoke — so concurrent
+  // sessions can't double-book a name or mutate a program a writer still
+  // owns.
+
+  /// One hop's control-plane books. ResourceManager is non-movable, hence
+  /// the unique_ptr indirection in hops_.
+  struct Hop {
+    dp::RunproDataplane& dataplane;
+    ResourceManager resources;
+    UpdateEngine updates;
+    std::map<ProgramId, InstalledProgram> programs;
+
+    Hop(dp::RunproDataplane& plane, SimClock& clock, BfrtCostModel cost)
+        : dataplane(plane), resources(plane.spec()),
+          updates(plane, resources, clock, cost) {}
+  };
+
+  /// A committed deploy not yet adopted into the per-hop program books —
+  /// relink keeps the transaction alive so a fault while retiring the old
+  /// version can still unwind_commit() the new one.
+  struct Deployed {
+    LinkResult result;
+    std::unique_ptr<ChainTransaction> txn;
+  };
+
+  /// Per-hop allocations solved before the deploy body runs (off-lock
+  /// session solves, or a defrag move's stored allocation), with the
+  /// virtual ms to charge for them.
+  struct Solved {
+    Result<std::vector<rp::AllocationResult>> allocs;
+    double charge_ms = 0.0;
+  };
+
+  /// Pre-removal image of one hop's installed program (for re-install on a
+  /// removal fault at another hop).
+  struct HopImage {
+    InstalledProgram program;
+    std::map<std::string, std::vector<Word>> words;  // vmem -> block contents
+  };
+
+  /// The locked part of one control operation: session lock, trace scope
+  /// and lock-hold timer (defined in controller.cpp).
+  class Session;
+
+  Controller(dp::SwitchChain* chain, const std::vector<dp::RunproDataplane*>& switches,
+             SimClock& clock, rp::Objective objective, BfrtCostModel cost,
+             obs::Telemetry* telemetry);
+
+  [[nodiscard]] Hop& at(int hop) { return *hops_[static_cast<std::size_t>(hop)]; }
+  [[nodiscard]] const Hop& at(int hop) const {
+    return *hops_[static_cast<std::size_t>(hop)];
+  }
+
+  Result<std::vector<LinkResult>> link_locked(std::string_view source, bool single);
+  /// Compile a source unit and charge its parse time. A compile error, or
+  /// with `single` a unit not holding exactly one program, is audited as
+  /// LinkFailed "<compile>".
+  Result<std::vector<rp::TranslatedProgram>> compile_locked(std::string_view source,
+                                                            bool single);
   /// Admitted session body: everything after the admission grant (quota
-  /// gate, off-lock solve, locked reserve+commit, retry loop). The caller
+  /// gate, off-lock solve, locked deploy, retry loop). The caller
   /// (link_session) owns the grant and releases it afterwards.
   Result<LinkResult> link_session_admitted(const rp::TranslatedProgram& ir,
                                            TenantId tenant,
                                            ParallelLinkOptions options);
-  Status revoke_locked(ProgramId id);
-  /// One defrag pass under mu_ (channel quiesced by the caller).
+  /// The one deploy body: name check, allocation (solved now under the lock
+  /// when `solved` is empty), chain checks, id, ChainTransaction stage +
+  /// commit, audit of every failure. Does NOT adopt the program (see
+  /// adopt_locked). `park` (may be null) parks the session off-lock while
+  /// an async commit drains. With `retry` non-null, AllocFailed failures a
+  /// re-solve may fix return unaudited with *retry set.
+  Result<Deployed> deploy_locked(const rp::TranslatedProgram& ir, ProgramId replacing,
+                                 std::optional<Solved> solved, Session* park,
+                                 bool* retry);
+  /// Move a committed deploy's per-hop InstalledPrograms into the hop books.
+  void adopt_locked(Deployed& deployed, TenantId tenant);
+  /// Commit `ir` as the replacement of `old_id` (stored allocations for a
+  /// defrag move, else solved now), then retire the old version. Shared by
+  /// relink and defrag.
+  Result<LinkResult> replace_locked(ProgramId old_id, const rp::TranslatedProgram& ir,
+                                    std::optional<Solved> stored,
+                                    const std::string& detail);
+  /// Audited revoke: the removal body plus the Revoke / RevokeFailed audit.
+  Status revoke_locked(ProgramId id, Session* park);
+  /// The one removal body: consistently remove `id` from every hop, release
+  /// its resources, tenant charge and id. A fault at hop h (restored by its
+  /// engine journal) re-installs every hop already removed from its
+  /// pre-removal image; `faulted_hop` reports h. Pipelined (all hops
+  /// submitted up front, settled in hop order) when every hop is async;
+  /// `park` (may be null) then waits off-lock. No audit.
+  Status remove_locked(ProgramId id, Session* park, int* faulted_hop);
+  /// Re-install a pre-removal image on one hop: re-claim the exact memory
+  /// blocks, re-reserve entries, replay the install op-log (fresh handles).
+  void reinstall_hop(int hop, HopImage image);
+  [[nodiscard]] HopImage capture_image(int hop, const InstalledProgram& program) const;
+  /// Per-hop allocations of `ir` against `snapshots`: hop 0 on the calling
+  /// thread (with `telemetry`), hops 1..N-1 on the solve pool.
+  Result<std::vector<rp::AllocationResult>> solve_hops(
+      const rp::TranslatedProgram& ir,
+      const std::vector<ResourceManager::Snapshot>& snapshots,
+      obs::Telemetry* telemetry);
+  /// Chain-only checks: per-hop allocations agree, the program is chain
+  /// compatible and needs no more rounds than there are hops.
+  [[nodiscard]] Status check_chain(const rp::TranslatedProgram& ir,
+                                   const std::vector<rp::AllocationResult>& allocs) const;
+  [[nodiscard]] std::vector<ResourceManager::Snapshot> snapshots() const;
+  /// True when every hop's engine is async (pipelined commits and removes).
+  [[nodiscard]] bool pipelined() const;
+  /// Take mu_ and drain every hop's async channel (the read-side quiesce).
+  [[nodiscard]] std::unique_lock<std::mutex> quiesced() const;
+  /// One defrag pass under mu_ (channels quiesced inside).
   DefragReport defragment_locked(const DefragOptions& options);
-  /// Migrate one program: commit a copy at its stored allocation
-  /// (replacing = old id, memory carried over), then retire the old copy.
-  Result<ProgramId> compact_program_locked(ProgramId id);
-  [[nodiscard]] const InstalledProgram* program_unlocked(ProgramId id) const;
+  [[nodiscard]] const InstalledProgram* program_unlocked(ProgramId id,
+                                                        int hop = 0) const;
   [[nodiscard]] const InstalledProgram* program_by_name_unlocked(
       const std::string& name) const;
+  [[nodiscard]] Result<int> owning_hop_unlocked(ProgramId id,
+                                                const std::string& vmem) const;
+  [[nodiscard]] int hop_of(int logical_rpb) const;
   [[nodiscard]] ProgramId next_program_id();
   /// Return the id of a rolled-back deploy: the freshest id un-allocates
   /// (next_id_ decrements), an id drawn from the recycle pool goes back to
@@ -285,25 +426,30 @@ class Controller {
   /// successful revoke does — so ids of programs that never ran can't leak
   /// into the pool and alias monitor history.
   void recycle_failed_id(ProgramId id);
+  /// Monitor feed: txn_* on a single switch, chain_txn_* on a chain.
+  void announce_commit(ProgramId id, const std::string& name);
+  void announce_rollback(ProgramId id, const std::string& name, int faulted_hop,
+                         const Error& err);
   void record_link_histograms(const LinkResult& result);
+  void record_event(ControlEvent::Kind kind, ProgramId id, const std::string& name,
+                    const std::string& detail = "");
 
-  dp::RunproDataplane& dataplane_;
+  dp::SwitchChain* chain_;  ///< null: single recirculating switch
   SimClock& clock_;
   rp::Objective objective_;
   obs::Telemetry* telemetry_;
   std::optional<double> fixed_alloc_charge_ms_;
-  ResourceManager resources_;
-  UpdateEngine updates_;
-  void record_event(ControlEvent::Kind kind, ProgramId id, const std::string& name,
-                    const std::string& detail = "");
+  std::vector<std::unique_ptr<Hop>> hops_;
+  std::vector<ChainHop> contexts_;  ///< hops_ as ChainTransaction contexts
+  /// Solves hops 1..N-1 while the calling thread solves hop 0 (chains only).
+  std::unique_ptr<common::ThreadPool> solve_pool_;
 
   mutable std::mutex mu_;  ///< session lock (see locking discipline above)
   std::deque<ControlEvent> events_;
-  std::map<ProgramId, InstalledProgram> programs_;
   /// Names of installs submitted to the async channel whose session released
   /// mu_ before settling — name-conflict checks treat them as running.
   std::set<std::string> pending_names_;
-  /// Programs with an async revoke in flight: the writer owns their handle
+  /// Programs with an async revoke in flight: the writers own their handle
   /// vectors, so relink/revoke of these ids conflicts until settled.
   std::set<ProgramId> busy_ids_;
   ProgramId next_id_ = 1;

@@ -1,7 +1,6 @@
 #include "control/defrag.h"
 
 #include <algorithm>
-#include <map>
 
 namespace p4runpro::ctrl {
 
@@ -63,12 +62,7 @@ bool simulate_compaction(const ResourceManager::Snapshot& snap,
   // Transient double occupancy: the copy's table entries are reserved while
   // the old copy still holds its own. The per-RPB demand is the old copy's
   // handle histogram (the stored allocation pins the same stages).
-  std::map<int, std::uint32_t> entry_demand;
-  for (const auto& [rpb, handle] : program.rpb_handles) {
-    (void)handle;
-    ++entry_demand[rpb];
-  }
-  for (const auto& [rpb, count] : entry_demand) {
+  for (const auto& [rpb, count] : entries_per_rpb(program)) {
     if (rpb < 1 || static_cast<std::size_t>(rpb) > snap.free_entries.size() ||
         snap.free_entries[static_cast<std::size_t>(rpb - 1)] < count) {
       return false;

@@ -254,6 +254,17 @@ const std::map<std::string, VmemPlacement>* ResourceManager::program_placements(
   return it == programs_.end() ? nullptr : &it->second;
 }
 
+std::vector<Word> read_block(const dp::RunproDataplane& dataplane,
+                             const VmemPlacement& placement) {
+  std::vector<Word> words;
+  words.reserve(placement.block.size);
+  const auto& memory = dataplane.rpb(placement.rpb).memory();
+  for (std::uint32_t a = 0; a < placement.block.size; ++a) {
+    words.push_back(memory.read(placement.block.base + a));
+  }
+  return words;
+}
+
 Result<Word> ResourceManager::read_virtual(const dp::RunproDataplane& dataplane,
                                            ProgramId id, const std::string& vmem,
                                            MemAddr vaddr) const {

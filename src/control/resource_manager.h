@@ -39,6 +39,10 @@ struct VmemPlacement {
   friend bool operator==(const VmemPlacement&, const VmemPlacement&) = default;
 };
 
+/// The current contents of a placed block, in address order.
+[[nodiscard]] std::vector<Word> read_block(const dp::RunproDataplane& dataplane,
+                                           const VmemPlacement& placement);
+
 class ResourceManager {
  public:
   explicit ResourceManager(const dp::DataplaneSpec& spec);

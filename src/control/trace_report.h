@@ -1,7 +1,7 @@
 // Cross-tier causal trace report (the observability counterpart of the
 // rollback journal): given one trace id — minted by obs::TraceScope at a
-// Controller/ChainController entry point and propagated into tracer spans,
-// monitor events, per-hop bfrt write spans and the data plane's table
+// Controller entry point (one switch or a chain) and propagated into tracer
+// spans, monitor events, per-hop bfrt write spans and the data plane's table
 // generation — assemble the operation's whole story from the telemetry
 // bundle. The report links the control-plane side (phase spans, txn
 // commit/rollback events, per-hop write batches) with the data-plane side

@@ -90,6 +90,18 @@ struct InstalledProgram {
   std::vector<rmt::EntryHandle> recirc_handles;
 };
 
+/// Table entries `program` holds per physical RPB (counted from its entry
+/// handles; what a removal releases and a re-install reserves again).
+[[nodiscard]] inline std::map<int, std::uint32_t> entries_per_rpb(
+    const InstalledProgram& program) {
+  std::map<int, std::uint32_t> counts;
+  for (const auto& [rpb, handle] : program.rpb_handles) {
+    (void)handle;
+    ++counts[rpb];
+  }
+  return counts;
+}
+
 class UpdateEngine {
  public:
   UpdateEngine(dp::RunproDataplane& dataplane, ResourceManager& resources,
@@ -223,7 +235,7 @@ class UpdateEngine {
   void set_maintenance(bool on) noexcept { maintenance_ = on; }
   [[nodiscard]] bool maintenance() const noexcept { return maintenance_; }
 
-  /// Chain-hop label for this engine's write spans: ChainController tags
+  /// Chain-hop label for this engine's write spans: a chain Controller tags
   /// each hop's engine with its index so "bfrt.batch" spans (and trace
   /// reports built from them) say which switch the write landed on. -1 (the
   /// default, single-switch) omits the tag.
@@ -234,7 +246,7 @@ class UpdateEngine {
   /// simulating a control-channel error mid-update. The fault fires once
   /// and disarms (rollback writes are never faulted). -1 disables. Each
   /// engine drives one switch's channel, so a chain harness arms exactly
-  /// the hop it wants to fault (per-hop injection; ChainController exposes
+  /// the hop it wants to fault (per-hop injection; Controller exposes
   /// `updates(hop)` for this). In async mode the fault fires from the
   /// writer thread, at the same write index.
   void set_fault_after_writes(int writes) { fault_after_ = writes; }

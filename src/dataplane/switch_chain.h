@@ -12,9 +12,10 @@
 // exact). Programs whose memory is touched in more than one round are
 // rejected for chains — the rounds live on different switches with
 // different physical memories (this is the constraint-(5) adjustment the
-// paper notes). ctrl::ChainController layers atomic chain-wide deploy
-// transactions on top (reserve on every hop, two-phase commit, per-hop
-// rollback journals; docs/ARCHITECTURE.md "Chain transactions").
+// paper notes). A ctrl::Controller constructed on the chain layers atomic
+// chain-wide deploy transactions on top (reserve on every hop, two-phase
+// commit, per-hop rollback journals; docs/ARCHITECTURE.md "Chain
+// transactions").
 #pragma once
 
 #include <map>

@@ -83,8 +83,8 @@ struct Telemetry {
 /// RAII causal-trace scope for controller public entry points. On
 /// construction, mints a fresh trace id into the bundle's active context —
 /// or, when a valid context is already active (a nested entry point, e.g.
-/// ChainController::link driving per-hop Controller calls), adopts it so
-/// the whole operation shares one id. Restores the previous context on
+/// an async session re-adopting its context after an off-lock park), adopts
+/// it so the whole operation shares one id. Restores the previous context on
 /// destruction. Inert when `telemetry` is null.
 ///
 /// Thread discipline: the context is bundle-shared state — construct

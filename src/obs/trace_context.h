@@ -1,7 +1,7 @@
 // Causal trace contexts: a 64-bit trace id (plus the root span that
-// anchors it) minted at every Controller / ChainController public entry
-// point and propagated through the whole stack — deploy/chain transactions,
-// per-hop update-engine op-log writes, the data-plane table-state bump and
+// anchors it) minted at every Controller public entry point (one switch or
+// a chain) and propagated through the whole stack — deploy/chain
+// transactions, per-hop update-engine op-log writes, the data-plane table-state bump and
 // the packet observer — so every span, monitor event, alert and
 // flight-recorder journey carries the id of the control operation that
 // caused the table state it executed against. ctrl::trace_report() joins

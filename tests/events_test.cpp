@@ -43,6 +43,45 @@ TEST(Events, LifecycleIsAudited) {
   }
 }
 
+TEST(Events, RelinkEarlyFailuresAreAudited) {
+  SimClock clock;
+  dp::RunproDataplane dataplane(dp::DataplaneSpec{}, rmt::ParserConfig{{7777}});
+  ctrl::Controller controller(dataplane, clock);
+
+  apps::ProgramConfig config;
+  config.instance_name = "cache";
+  auto linked = controller.link_single(apps::make_program_source("cache", config));
+  ASSERT_TRUE(linked.ok());
+  const ProgramId id = linked.value().id;
+
+  // A source that does not compile is audited like a failed link.
+  auto broken = controller.relink(id, "program broken { NOPE; }");
+  ASSERT_FALSE(broken.ok());
+  auto events = controller.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events.back().kind, ctrl::ControlEvent::Kind::LinkFailed);
+  EXPECT_EQ(events.back().name, "<compile>");
+  EXPECT_EQ(events.back().detail, broken.error().str());
+
+  // So is a unit holding more than one program (one memory declaration
+  // heads the unit; the second program reuses it).
+  std::string unit = apps::make_program_source("cache", config);
+  const std::size_t program_at = unit.find("program cache");
+  ASSERT_NE(program_at, std::string::npos);
+  std::string second = unit.substr(program_at);
+  second.replace(0, std::string("program cache").size(), "program other");
+  auto two = controller.relink(id, unit + "\n" + second);
+  ASSERT_FALSE(two.ok());
+  EXPECT_EQ(two.error().code, ErrorCode::InvalidArgument);
+  events = controller.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events.back().kind, ctrl::ControlEvent::Kind::LinkFailed);
+  EXPECT_NE(events.back().detail.find("[InvalidArgument]"), std::string::npos);
+
+  // Neither touched the running version.
+  EXPECT_EQ(controller.running_programs(), std::vector<ProgramId>{id});
+}
+
 TEST(Events, LogIsBounded) {
   SimClock clock;
   dp::RunproDataplane dataplane(dp::DataplaneSpec{}, rmt::ParserConfig{{7777}});
