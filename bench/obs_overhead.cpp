@@ -1,10 +1,13 @@
-// Telemetry self-overhead benchmark (BENCH_obs.json): packet rate of the
-// per-packet inject() path with observability OFF (no pipeline observer, no
-// time-series cadence) versus ON in the production configuration (health
-// monitor attached, TimeSeriesStore sampling on a 1-virtual-ms cadence).
-// The ratio off/on is the price of watching — CI gates it (the obs smoke
-// step fails when cache_hit exceeds a generous 1.5x) so telemetry hooks can
-// never silently become the bottleneck of the simulator.
+// Telemetry self-overhead benchmark (BENCH_obs.json): packet rate with
+// observability OFF (no pipeline observer, no time-series cadence) versus ON
+// in the production configuration (health monitor attached, TimeSeriesStore
+// sampling on a 1-virtual-ms cadence), over two paths: per-packet inject()
+// ("shapes", where the monitor folds every packet) and inject_batch() over
+// the same 1024 packets ("batched", where it folds once per program per
+// batch). The ratio off/on is the price of watching — CI gates it (the obs
+// smoke step fails when per-packet cache_hit exceeds 1.5x or batched
+// unclaimed exceeds 1.7x) so telemetry hooks can never silently become the
+// bottleneck of the simulator.
 //
 // A separate short phase enables hot-path overhead accounting to measure
 // the monitor's hook cost per packet (obs.self.monitor_hook_ns / calls) and
@@ -98,7 +101,11 @@ struct OverheadSample {
   std::uint64_t sample_ns_total = 0; ///< wall ns spent inside sample()
 };
 
-std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget) {
+/// Which pipeline entry point a suite drives.
+enum class InjectPath { PerPacket, Batch };
+
+std::vector<OverheadSample> run_overhead_suite(InjectPath path,
+                                               std::chrono::milliseconds budget) {
   struct Shape {
     const char* name;
     const char* program;  // nullptr = no program linked
@@ -115,8 +122,12 @@ std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget)
     if (shape.program != nullptr) link_program(bed, shape.program);
     const std::vector<rmt::Packet> pkts(kBatch, shape.pkt);
     const auto inject_all = [&] {
-      for (const auto& p : pkts) {
-        benchmark::DoNotOptimize(bed.dataplane.inject(p));
+      if (path == InjectPath::Batch) {
+        benchmark::DoNotOptimize(bed.dataplane.inject_batch(pkts));
+      } else {
+        for (const auto& p : pkts) {
+          benchmark::DoNotOptimize(bed.dataplane.inject(p));
+        }
       }
       bed.clock.advance_ns(kVirtualNsPerPacket * pkts.size());
     };
@@ -158,8 +169,8 @@ std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget)
   return samples;
 }
 
-void print_overhead_suite(const std::vector<OverheadSample>& samples) {
-  bench::heading("Telemetry overhead (per-packet inject, pkts/sec)");
+void print_overhead_suite(const char* title, const std::vector<OverheadSample>& samples) {
+  bench::heading(title);
   std::printf("%-14s | %12s | %12s | %6s | %10s | %8s\n", "shape", "telemetry off",
               "telemetry on", "ratio", "hook ns/pkt", "samples");
   bench::rule(78);
@@ -171,15 +182,7 @@ void print_overhead_suite(const std::vector<OverheadSample>& samples) {
   }
 }
 
-void write_overhead_json(const std::vector<OverheadSample>& samples,
-                         const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"obs_overhead\",\n"
-      << "  \"unit\": \"packets_per_second\",\n  \"shapes\": [\n";
+void write_overhead_rows(std::ofstream& out, const std::vector<OverheadSample>& samples) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const auto& s = samples[i];
     char buf[384];
@@ -194,6 +197,21 @@ void write_overhead_json(const std::vector<OverheadSample>& samples,
                   i + 1 < samples.size() ? "," : "");
     out << buf;
   }
+}
+
+void write_overhead_json(const std::vector<OverheadSample>& per_packet,
+                         const std::vector<OverheadSample>& batched,
+                         const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return;
+  }
+  out << "{\n  \"bench\": \"obs_overhead\",\n"
+      << "  \"unit\": \"packets_per_second\",\n  \"shapes\": [\n";
+  write_overhead_rows(out, per_packet);
+  out << "  ],\n  \"batched\": [\n";
+  write_overhead_rows(out, batched);
   out << "  ]\n}\n";
 }
 
@@ -215,10 +233,12 @@ int main(int argc, char** argv) {
   p4runpro::bench::TelemetryScope telemetry_scope(filtered_argc, args.data());
 
   const auto budget = std::chrono::milliseconds(quick ? 50 : 400);
-  const auto samples = run_overhead_suite(budget);
-  print_overhead_suite(samples);
+  const auto per_packet = run_overhead_suite(InjectPath::PerPacket, budget);
+  const auto batched = run_overhead_suite(InjectPath::Batch, budget);
+  print_overhead_suite("Telemetry overhead (per-packet inject, pkts/sec)", per_packet);
+  print_overhead_suite("Telemetry overhead (inject_batch of 1024, pkts/sec)", batched);
   if (!telemetry_scope.flags().bench_json_path.empty()) {
-    write_overhead_json(samples, telemetry_scope.flags().bench_json_path);
+    write_overhead_json(per_packet, batched, telemetry_scope.flags().bench_json_path);
   }
   return 0;
 }

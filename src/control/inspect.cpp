@@ -191,30 +191,66 @@ std::string health_report(const obs::Telemetry& telemetry, std::size_t event_tai
       switch (e.kind) {
         case obs::MonitorEvent::Kind::Deploy:
           std::snprintf(line, sizeof line,
-                        "  [%8.3f ms] deploy  %u '%s' (%llu entries)\n", e.t_ms,
+                        "  [%8.3f ms] deploy  %u '%s' (%llu entries)", e.t_ms,
                         static_cast<unsigned>(e.program), e.program_name.c_str(),
                         static_cast<unsigned long long>(e.entries));
           break;
         case obs::MonitorEvent::Kind::Revoke:
-          std::snprintf(line, sizeof line, "  [%8.3f ms] revoke  %u '%s'\n",
-                        e.t_ms, static_cast<unsigned>(e.program),
-                        e.program_name.c_str());
+          std::snprintf(line, sizeof line, "  [%8.3f ms] revoke  %u '%s'", e.t_ms,
+                        static_cast<unsigned>(e.program), e.program_name.c_str());
           break;
         case obs::MonitorEvent::Kind::Alert:
           if (e.rpb != 0) {
             std::snprintf(line, sizeof line,
-                          "  [%8.3f ms] ALERT   '%s' RPB%d value %.3f >= %.3f\n",
+                          "  [%8.3f ms] ALERT   '%s' RPB%d value %.3f >= %.3f",
                           e.t_ms, e.rule.c_str(), e.rpb, e.value, e.threshold);
           } else {
             std::snprintf(line, sizeof line,
                           "  [%8.3f ms] ALERT   '%s' program %u '%s' value "
-                          "%.3f >= %.3f\n",
+                          "%.3f >= %.3f",
                           e.t_ms, e.rule.c_str(), static_cast<unsigned>(e.program),
                           e.program_name.c_str(), e.value, e.threshold);
           }
           break;
+        case obs::MonitorEvent::Kind::TxnCommit:
+          std::snprintf(line, sizeof line, "  [%8.3f ms] commit  %u '%s'", e.t_ms,
+                        static_cast<unsigned>(e.program), e.program_name.c_str());
+          break;
+        case obs::MonitorEvent::Kind::TxnRollback:
+          std::snprintf(line, sizeof line, "  [%8.3f ms] rollback %u '%s'", e.t_ms,
+                        static_cast<unsigned>(e.program), e.program_name.c_str());
+          break;
+        case obs::MonitorEvent::Kind::ChainTxnCommit:
+          std::snprintf(line, sizeof line,
+                        "  [%8.3f ms] commit  %u '%s' (chain, %d hops)", e.t_ms,
+                        static_cast<unsigned>(e.program), e.program_name.c_str(),
+                        e.hops);
+          break;
+        case obs::MonitorEvent::Kind::ChainTxnRollback:
+          std::snprintf(line, sizeof line,
+                        "  [%8.3f ms] rollback %u '%s' (chain, %d hops, faulted "
+                        "hop %d)",
+                        e.t_ms, static_cast<unsigned>(e.program),
+                        e.program_name.c_str(), e.hops, e.faulted_hop);
+          break;
+        case obs::MonitorEvent::Kind::AdmissionShed:
+          std::snprintf(line, sizeof line, "  [%8.3f ms] shed    tenant %u '%s'",
+                        e.t_ms, static_cast<unsigned>(e.tenant),
+                        e.program_name.c_str());
+          break;
+        case obs::MonitorEvent::Kind::DefragMove:
+          std::snprintf(line, sizeof line,
+                        "  [%8.3f ms] defrag  %u -> %u '%s' (gain %llu words)",
+                        e.t_ms, static_cast<unsigned>(e.old_program),
+                        static_cast<unsigned>(e.program), e.program_name.c_str(),
+                        static_cast<unsigned long long>(e.gain));
+          break;
       }
+      // The free-form rollback / shed reason goes straight to the stream so
+      // a long one is never cut off by the line buffer.
       out << line;
+      if (!e.detail.empty()) out << ": " << e.detail;
+      out << "\n";
     }
   }
 

@@ -35,6 +35,8 @@ namespace {
     case obs::MonitorEvent::Kind::TxnRollback: return "txn rollback";
     case obs::MonitorEvent::Kind::ChainTxnCommit: return "chain txn commit";
     case obs::MonitorEvent::Kind::ChainTxnRollback: return "chain txn rollback";
+    case obs::MonitorEvent::Kind::AdmissionShed: return "admission shed";
+    case obs::MonitorEvent::Kind::DefragMove: return "defrag move";
   }
   return "?";
 }
@@ -134,6 +136,12 @@ std::string trace_report(const obs::Telemetry& telemetry,
       if (event.kind == obs::MonitorEvent::Kind::Alert) {
         out << " rule=" << event.rule;
         if (!event.series.empty()) out << " series=" << event.series;
+      }
+      if (event.kind == obs::MonitorEvent::Kind::AdmissionShed) {
+        out << " tenant=" << event.tenant;
+      }
+      if (event.kind == obs::MonitorEvent::Kind::DefragMove) {
+        out << " old_id=" << event.old_program << " gain=" << event.gain;
       }
       if (!event.detail.empty()) out << " detail=\"" << event.detail << "\"";
       out << "\n";

@@ -215,33 +215,52 @@ void ProgramHealthMonitor::clear_rules() {
   for (StageState& stage : stages_) stage.fired.clear();
 }
 
+ProgramHealthMonitor::Slot& ProgramHealthMonitor::fold(ProgramId id,
+                                                       const rmt::ProgramTally& tally,
+                                                       SimClock::Nanos now) {
+  packets_observed_ += tally.packets;
+  if (packets_counter_ != nullptr) packets_counter_->inc(tally.packets);
+
+  Slot& s = slot(id);
+  ProgramHealth& h = s.health;
+  h.packets += tally.packets;
+  h.table_hits += tally.table_hits;
+  h.table_misses += tally.table_misses;
+  h.salu_updates += tally.salu_execs;
+  h.recirc_passes += tally.recirc_passes;
+  h.drops += tally.drops;
+
+  s.packets_w.add(now, tally.packets);
+  if (tally.recirc_passes > 0) s.recirc_w.add(now, tally.recirc_passes);
+  if (tally.drops > 0) s.drops_w.add(now, tally.drops);
+  return s;
+}
+
+void ProgramHealthMonitor::tick_series(SimClock::Nanos now) {
+  // Cadence-gated time-series tick: a single compare when not due.
+  if (series_ != nullptr && registry_ != nullptr) {
+    series_->maybe_sample(*registry_, now);
+  }
+}
+
 void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
   // Optional self-overhead accounting: two steady_clock reads bracketing
   // the hook. Off by default — the reads are themselves overhead.
   const auto hook_start = account_overhead_
                               ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point{};
-  ++packets_observed_;
-  if (packets_counter_ != nullptr) packets_counter_->inc();
   last_table_trace_ = obs.table_trace;
 
-  Slot& s = slot(obs.program);
-  ProgramHealth& h = s.health;
-  ++h.packets;
-  h.table_hits += obs.table_hits;
-  h.table_misses += obs.table_misses;
-  h.salu_updates += obs.salu_execs;
-  h.recirc_passes += static_cast<std::uint64_t>(obs.recirc_passes);
   const bool dropped = obs.fate == rmt::PacketFate::Dropped ||
                        obs.fate == rmt::PacketFate::RecircLimit;
-  if (dropped) ++h.drops;
-
+  const rmt::ProgramTally one{.packets = 1,
+                              .table_hits = obs.table_hits,
+                              .table_misses = obs.table_misses,
+                              .salu_execs = obs.salu_execs,
+                              .recirc_passes = static_cast<std::uint64_t>(obs.recirc_passes),
+                              .drops = dropped ? 1u : 0u};
   const SimClock::Nanos now = now_ns();
-  s.packets_w.add(now);
-  if (obs.recirc_passes > 0) {
-    s.recirc_w.add(now, static_cast<std::uint64_t>(obs.recirc_passes));
-  }
-  if (dropped) s.drops_w.add(now);
+  Slot& s = fold(obs.program, one, now);
 
   // Journey capture first, rule evaluation second: when this packet trips
   // an alert, its own journey is the newest entry of the frozen ring.
@@ -250,7 +269,7 @@ void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
     journey.seq = obs.seq;
     journey.t_ms = now_ms();
     journey.program = obs.program;
-    journey.program_name = h.name;
+    journey.program_name = s.health.name;
     journey.fate = obs.fate;
     journey.ingress_port = obs.ingress_port;
     journey.egress_port = obs.egress_port;
@@ -264,11 +283,7 @@ void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
   }
 
   if (!rules_.empty()) evaluate_rules(obs.program, s);
-
-  // Cadence-gated time-series tick: a single compare when not due.
-  if (series_ != nullptr && registry_ != nullptr) {
-    series_->maybe_sample(*registry_, now);
-  }
+  tick_series(now);
 
   if (account_overhead_) {
     ++hook_calls_;
@@ -276,6 +291,32 @@ void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - hook_start)
             .count());
+  }
+}
+
+void ProgramHealthMonitor::on_batch(const rmt::BatchObservation& batch) {
+  const auto hook_start = account_overhead_
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
+  last_table_trace_ = batch.table_trace;
+
+  // Rules see the batch's totals: a threshold crossed mid-batch fires once,
+  // here, with the end-of-batch value.
+  const SimClock::Nanos now = now_ns();
+  for (const ProgramId id : batch.programs) {
+    Slot& s = fold(id, batch.tallies[id], now);
+    if (!rules_.empty()) evaluate_rules(id, s);
+  }
+  tick_series(now);
+
+  if (account_overhead_) {
+    // The pipeline timed each packet's tally add; the fold is timed here.
+    hook_calls_ += batch.packets;
+    hook_ns_ += batch.tally_ns +
+                static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - hook_start)
+                        .count());
   }
 }
 

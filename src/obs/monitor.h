@@ -1,14 +1,17 @@
 // Per-program data-plane health monitor. Implements rmt::PacketObserver:
-// the pipeline reports every completed packet once, and the monitor
-// attributes it — packets, table hits/misses, SALU updates, recirculation
-// passes, drops — to the deployed program that claimed it (slot 0 collects
-// unclaimed traffic). On top of the lifetime counters sit rolling-window
-// rate estimators driven by SimClock virtual time, and configurable
-// threshold alert rules; a tripped alert freezes the attached
-// FlightRecorder so the packet journeys leading up to the anomaly survive.
+// the pipeline reports every completed packet once — alone through
+// on_packet, or summed per program through on_batch at the end of an
+// inject_batch — and the monitor attributes it (packets, table hits/misses,
+// SALU updates, recirculation passes, drops) to the deployed program that
+// claimed it (slot 0 collects unclaimed traffic). On top of the lifetime
+// counters sit rolling-window rate estimators driven by SimClock virtual
+// time, and configurable threshold alert rules; a tripped alert freezes the
+// attached FlightRecorder so the packet journeys leading up to the anomaly
+// survive.
 //
 // Hot-path discipline: attribution is a direct vector index by program id,
-// rule evaluation touches only the claiming program's windows, and every
+// one fold per program per batch (per packet on the on_packet path), rule
+// evaluation touches only the folded program's windows, and every
 // metrics-registry handle is resolved once at attach time — no name lookup
 // ever happens per packet.
 #pragma once
@@ -188,9 +191,11 @@ class ProgramHealthMonitor final : public rmt::PacketObserver {
   /// Time-series store to tick from the packet hot path (cadence-gated;
   /// needs attach_metrics for the registry to sample). Null disables.
   void set_series_store(TimeSeriesStore* store) noexcept { series_ = store; }
-  /// Account wall nanoseconds spent inside on_packet (the telemetry
-  /// self-overhead the obs_overhead bench measures). Off by default — the
-  /// two clock reads per packet are themselves overhead.
+  /// Account wall nanoseconds spent observing packets (the telemetry
+  /// self-overhead the obs_overhead bench measures): on_packet and on_batch
+  /// time themselves, and on_batch adds the pipeline's per-packet tally
+  /// time; hook_calls counts observed packets either way. Off by default —
+  /// the clock reads are themselves overhead.
   void set_overhead_accounting(bool enabled) noexcept { account_overhead_ = enabled; }
   [[nodiscard]] std::uint64_t hook_ns() const noexcept { return hook_ns_; }
   [[nodiscard]] std::uint64_t hook_calls() const noexcept { return hook_calls_; }
@@ -247,7 +252,13 @@ class ProgramHealthMonitor final : public rmt::PacketObserver {
   [[nodiscard]] bool sample_packet() override {
     return flight_ != nullptr && flight_->want_sample();
   }
+  /// One packet: the one-packet case of on_batch's fold, plus journey
+  /// capture for traced packets.
   void on_packet(const rmt::PacketObservation& obs) override;
+  /// A batch's tallies: each program folds once, then its rules run once;
+  /// one time-series tick per batch.
+  void on_batch(const rmt::BatchObservation& batch) override;
+  [[nodiscard]] bool accounting_overhead() const override { return account_overhead_; }
 
   // --- queries ------------------------------------------------------------
   /// Health of one program; null when the id was never seen. Slot 0 is the
@@ -295,6 +306,10 @@ class ProgramHealthMonitor final : public rmt::PacketObserver {
   [[nodiscard]] SimClock::Nanos now_ns() const noexcept {
     return clock_ != nullptr ? clock_->now_ns() : 0;
   }
+  /// Add one program's packets to its counters, windows and the
+  /// packets-observed totals.
+  Slot& fold(ProgramId id, const rmt::ProgramTally& tally, SimClock::Nanos now);
+  void tick_series(SimClock::Nanos now);
   [[nodiscard]] double rule_value(const AlertRule& rule, const Slot& s,
                                   SimClock::Nanos now) const;
   void evaluate_rules(ProgramId id, Slot& s);

@@ -1,8 +1,8 @@
 #include "rmt/pipeline.h"
 
-#include <cstdio>
-
 #include <cassert>
+#include <chrono>
+#include <cstdio>
 
 #include "obs/telemetry.h"
 
@@ -68,16 +68,18 @@ Phv Pipeline::parse_packet(const Packet& pkt) {
   ++packets_in_;
   Phv phv = parser_.parse(pkt);
   phv.qdepth = qdepth_;
-  if (tracing_) {
-    trace_events_.clear();
-    TraceEvent event;
-    event.block = TraceEvent::Block::Parser;
-    event.op = "parse";
-    event.value = phv.parse_bitmap;
-    trace_events_.push_back(std::move(event));
-    phv.trace_events = &trace_events_;
-  }
+  if (tracing_) start_trace(phv);
   return phv;
+}
+
+void Pipeline::start_trace(Phv& phv) {
+  trace_events_.clear();
+  TraceEvent event;
+  event.block = TraceEvent::Block::Parser;
+  event.op = "parse";
+  event.value = phv.parse_bitmap;
+  trace_events_.push_back(std::move(event));
+  phv.trace_events = &trace_events_;
 }
 
 Pipeline::PassResult Pipeline::process_pass(Phv& phv) {
@@ -152,6 +154,41 @@ Pipeline::PassResult Pipeline::process_pass(Phv& phv) {
   return result;
 }
 
+// `inline` so the compiler keeps the pass loop inside inject_batch's
+// unobserved loop: left out of line it adds a call per packet there.
+inline Pipeline::PassResult Pipeline::run_passes(Phv& phv, int& recirc_passes) {
+  for (int pass = 0;; ++pass) {
+    PassResult step = process_pass(phv);
+    if (step.outcome == PassOutcome::Exit) return step;
+    ++recirc_passes;
+    if (pass >= max_recirculations_) {
+      ++packets_dropped_;
+      step.outcome = PassOutcome::Exit;
+      step.fate = PacketFate::RecircLimit;
+      return step;
+    }
+  }
+}
+
+PacketObservation Pipeline::observe(const Packet& pkt, const Phv& phv,
+                                    const PassResult& end, int recirc_passes,
+                                    std::uint64_t seq, bool traced) const {
+  PacketObservation obs;
+  obs.program = phv.program_id;
+  obs.fate = end.fate;
+  obs.ingress_port = pkt.ingress_port;
+  obs.egress_port = end.egress_port;
+  obs.seq = seq;
+  obs.recirc_passes = recirc_passes;
+  obs.table_hits = phv.pkt_table_hits;
+  obs.table_misses = phv.pkt_table_misses;
+  obs.salu_execs = phv.pkt_salu_execs;
+  obs.events = traced ? &trace_events_ : nullptr;
+  obs.table_trace = table_trace_;
+  obs.table_generation = table_generation_;
+  return obs;
+}
+
 PipelineResult Pipeline::inject(const Packet& pkt) {
   // Sampling decision before parsing: a sampled packet gets per-packet
   // tracing for exactly this injection so its journey can be recorded.
@@ -162,53 +199,52 @@ PipelineResult Pipeline::inject(const Packet& pkt) {
 
   Phv phv = parse_packet(pkt);
   PipelineResult result;
-  for (int pass = 0;; ++pass) {
-    const PassResult step = process_pass(phv);
-    if (step.outcome == PassOutcome::Recirculate) {
-      ++result.recirc_passes;
-      if (pass >= max_recirculations_) {
-        ++packets_dropped_;
-        result.fate = PacketFate::RecircLimit;
-        result.packet = phv.pkt;
-        break;
-      }
-      continue;
-    }
-    result.fate = step.fate;
-    result.egress_port = step.egress_port;
-    result.multicast_ports = step.multicast_ports;
-    result.packet = phv.pkt;
-    break;
-  }
+  PassResult end = run_passes(phv, result.recirc_passes);
+  result.fate = end.fate;
+  result.egress_port = end.egress_port;
+  result.multicast_ports = std::move(end.multicast_ports);
+  result.packet = phv.pkt;
 
   if (observer_ != nullptr) {
-    PacketObservation obs;
-    obs.program = phv.program_id;
-    obs.fate = result.fate;
-    obs.ingress_port = pkt.ingress_port;
-    obs.egress_port = result.egress_port;
-    obs.seq = seq;
-    obs.recirc_passes = result.recirc_passes;
-    obs.table_hits = phv.pkt_table_hits;
-    obs.table_misses = phv.pkt_table_misses;
-    obs.salu_execs = phv.pkt_salu_execs;
-    obs.events = tracing_ ? &trace_events_ : nullptr;
-    obs.table_trace = table_trace_;
-    obs.table_generation = table_generation_;
-    observer_->on_packet(obs);
+    observer_->on_packet(observe(pkt, phv, end, result.recirc_passes, seq, tracing_));
   }
   tracing_ = saved_tracing;
   return result;
 }
 
-Pipeline::BatchResult Pipeline::inject_batch(std::span<const Packet> pkts) {
-  BatchResult out;
-  out.packets = pkts.size();
-  out.table_trace = table_trace_;
-  out.table_generation = table_generation_;
+void Pipeline::tally(const Phv& phv, PacketFate fate, int recirc_passes) {
+  const ProgramId id = phv.program_id;
+  if (tallies_.size() <= id) tallies_.resize(id + 1u);
+  ProgramTally& tally = tallies_[id];
+  if (tally.packets++ == 0) tallied_.push_back(id);
+  tally.table_hits += phv.pkt_table_hits;
+  tally.table_misses += phv.pkt_table_misses;
+  tally.salu_execs += phv.pkt_salu_execs;
+  tally.recirc_passes += static_cast<std::uint64_t>(recirc_passes);
+  if (fate == PacketFate::Dropped || fate == PacketFate::RecircLimit) ++tally.drops;
+}
 
-  const auto fold = [&out](PacketFate fate) {
-    switch (fate) {
+template <bool kObserved>
+void Pipeline::run_batch(std::span<const Packet> pkts, BatchResult& out) {
+  PacketObserver* const observer = observer_;
+  const bool saved_tracing = tracing_;
+  const bool timed = kObserved && observer != nullptr && observer->accounting_overhead();
+  std::uint64_t tally_ns = 0;
+
+  for (const Packet& pkt : pkts) {
+    const std::uint64_t seq = packets_in_;
+    bool traced = false;
+    if constexpr (kObserved) {
+      // Every packet gets its sampling query, so the observer's 1-in-N
+      // rotation advances exactly as under per-packet inject().
+      traced = (observer != nullptr && observer->sample_packet()) || saved_tracing;
+      tracing_ = traced;
+    }
+    Phv phv = parse_packet(pkt);
+    int recirc_passes = 0;
+    const PassResult end = run_passes(phv, recirc_passes);
+    out.recirc_passes += static_cast<std::uint64_t>(recirc_passes);
+    switch (end.fate) {
       case PacketFate::Forwarded: ++out.forwarded; break;
       case PacketFate::Returned: ++out.returned; break;
       case PacketFate::Dropped: ++out.dropped; break;
@@ -216,40 +252,48 @@ Pipeline::BatchResult Pipeline::inject_batch(std::span<const Packet> pkts) {
       case PacketFate::Multicasted: ++out.multicasted; break;
       case PacketFate::RecircLimit: ++out.recirc_limited; break;
     }
-  };
-
-  // Observer attached or tracing on: per-packet semantics (sampling
-  // decisions, journey capture, observation callbacks) must be preserved —
-  // delegate to inject() and only aggregate.
-  if (observer_ != nullptr || tracing_) {
-    for (const Packet& pkt : pkts) {
-      const PipelineResult result = inject(pkt);
-      fold(result.fate);
-      out.recirc_passes += static_cast<std::uint64_t>(result.recirc_passes);
+    if constexpr (kObserved) {
+      if (observer == nullptr) continue;
+      if (traced) {
+        observer->on_packet(observe(pkt, phv, end, recirc_passes, seq, true));
+      } else if (timed) {
+        const auto t0 = std::chrono::steady_clock::now();
+        tally(phv, end.fate, recirc_passes);
+        tally_ns += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+      } else {
+        tally(phv, end.fate, recirc_passes);
+      }
     }
-    return out;
   }
 
-  // Lean path: no sampling query, no trace bookkeeping, no per-packet
-  // PipelineResult (and its Packet copy).
-  for (const Packet& pkt : pkts) {
-    ++packets_in_;
-    Phv phv = parser_.parse(pkt);
-    phv.qdepth = qdepth_;
-    for (int pass = 0;; ++pass) {
-      const PassResult step = process_pass(phv);
-      if (step.outcome == PassOutcome::Recirculate) {
-        ++out.recirc_passes;
-        if (pass >= max_recirculations_) {
-          ++packets_dropped_;
-          ++out.recirc_limited;
-          break;
-        }
-        continue;
-      }
-      fold(step.fate);
-      break;
-    }
+  if constexpr (kObserved) {
+    tracing_ = saved_tracing;
+    if (tallied_.empty()) return;
+    BatchObservation batch;
+    batch.programs = tallied_;
+    batch.tallies = tallies_;
+    for (const ProgramId id : tallied_) batch.packets += tallies_[id].packets;
+    batch.table_trace = table_trace_;
+    batch.table_generation = table_generation_;
+    batch.tally_ns = tally_ns;
+    observer->on_batch(batch);
+    for (const ProgramId id : tallied_) tallies_[id] = ProgramTally{};
+    tallied_.clear();
+  }
+}
+
+Pipeline::BatchResult Pipeline::inject_batch(std::span<const Packet> pkts) {
+  BatchResult out;
+  out.packets = pkts.size();
+  out.table_trace = table_trace_;
+  out.table_generation = table_generation_;
+  if (observer_ != nullptr || tracing_) {
+    run_batch<true>(pkts, out);
+  } else {
+    run_batch<false>(pkts, out);
   }
   return out;
 }

@@ -87,9 +87,35 @@ struct PacketObservation {
   std::uint64_t table_generation = 0;
 };
 
+/// Per-program totals over the untraced packets of one inject_batch() call.
+/// Summing loses nothing: every RPB entry is keyed on the claiming
+/// program's id, so each packet's counters belong to exactly one program.
+struct ProgramTally {
+  std::uint64_t packets = 0;
+  std::uint64_t table_hits = 0;
+  std::uint64_t table_misses = 0;
+  std::uint64_t salu_execs = 0;
+  std::uint64_t recirc_passes = 0;
+  std::uint64_t drops = 0;  ///< Dropped and RecircLimit fates
+};
+
+/// End-of-batch delivery to PacketObserver::on_batch: the tallies of every
+/// packet of the batch that did not reach on_packet. The spans are valid
+/// only for the duration of the callback.
+struct BatchObservation {
+  std::span<const ProgramId> programs;    ///< tallied ids, first-arrival order
+  std::span<const ProgramTally> tallies;  ///< indexed by ProgramId
+  std::uint64_t packets = 0;              ///< sum of the programs' tallies
+  std::uint64_t table_trace = 0;          ///< as PacketObservation
+  std::uint64_t table_generation = 0;
+  /// Wall nanoseconds the pipeline spent adding packets to the tallies,
+  /// timed only while the observer's accounting_overhead() is true.
+  std::uint64_t tally_ns = 0;
+};
+
 /// Per-packet attribution hook (implemented by obs::ProgramHealthMonitor).
 /// sample_packet() is consulted before parsing so the pipeline can enable
-/// tracing for exactly the packets whose journey the observer wants; both
+/// tracing for exactly the packets whose journey the observer wants. The
 /// calls sit on the hot path and implementations must not do name lookups
 /// or allocation on the common path.
 class PacketObserver {
@@ -98,7 +124,16 @@ class PacketObserver {
   /// Return true to force per-packet tracing (journey capture) for the
   /// packet about to be injected.
   [[nodiscard]] virtual bool sample_packet() = 0;
+  /// One completed packet: every inject(), and each sampled or traced
+  /// packet of inject_batch().
   virtual void on_packet(const PacketObservation& obs) = 0;
+  /// The rest of an inject_batch() call, summed per program, once at the
+  /// end of the batch.
+  virtual void on_batch(const BatchObservation& batch) { (void)batch; }
+  /// True while the observer accounts its own overhead: inject_batch() then
+  /// brackets each packet's tally add with two steady_clock reads and
+  /// reports the sum as BatchObservation::tally_ns.
+  [[nodiscard]] virtual bool accounting_overhead() const { return false; }
 };
 
 /// One trace event as a human-readable line, e.g. "parser: bitmap=0b11101",
@@ -143,11 +178,13 @@ class Pipeline {
   };
 
   /// Run a batch of packets to completion and return aggregate results.
-  /// The observer/tracing/sampling checks are hoisted out of the per-packet
-  /// loop: with no observer and tracing off, packets take a lean path that
-  /// skips the per-packet sampling query, trace bookkeeping, and the
-  /// PipelineResult packet copy. All pipeline counters (ports, stage stats,
-  /// CPU queue) advance exactly as with per-packet inject().
+  /// No per-packet PipelineResult (or its Packet copy) is built. With an
+  /// observer attached, each packet still gets its sampling query; sampled
+  /// and traced packets reach on_packet as with inject(), and the rest are
+  /// summed per program and delivered by one on_batch() at the end. With no
+  /// observer and tracing off, the loop skips all of that. All pipeline
+  /// counters (ports, stage stats, CPU queue) advance exactly as with
+  /// per-packet inject().
   BatchResult inject_batch(std::span<const Packet> pkts);
 
   /// Outcome of a single pipeline pass (ingress + traffic manager +
@@ -229,9 +266,10 @@ class Pipeline {
   [[nodiscard]] StageStats& stage_stats() noexcept { return stage_stats_; }
   [[nodiscard]] const StageStats& stage_stats() const noexcept { return stage_stats_; }
 
-  /// Per-packet attribution hook, invoked once per inject() with the
-  /// packet's claiming program and execution counters. Null disables (the
-  /// default). Packets driven through process_pass() directly (switch
+  /// Attribution hook: on_packet once per inject() (and per sampled or
+  /// traced batch packet) with the packet's claiming program and execution
+  /// counters, on_batch once per inject_batch() for the rest. Null disables
+  /// (the default). Packets driven through process_pass() directly (switch
   /// chains) bypass the observer.
   void set_observer(PacketObserver* observer) noexcept { observer_ = observer; }
   [[nodiscard]] PacketObserver* observer() const noexcept { return observer_; }
@@ -271,6 +309,21 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
 
  private:
+  /// Start a traced packet's event list with its parser event.
+  void start_trace(Phv& phv);
+  /// Passes of one parsed packet until it exits; exhausting the
+  /// recirculation allowance ends it as RecircLimit (counted as a drop).
+  PassResult run_passes(Phv& phv, int& recirc_passes);
+  [[nodiscard]] PacketObservation observe(const Packet& pkt, const Phv& phv,
+                                          const PassResult& end, int recirc_passes,
+                                          std::uint64_t seq, bool traced) const;
+  /// Add one untraced packet to its program's tally for on_batch().
+  void tally(const Phv& phv, PacketFate fate, int recirc_passes);
+  /// inject_batch()'s packet loop; kObserved = observer attached or
+  /// tracing on, so the unobserved loop carries no per-packet check.
+  template <bool kObserved>
+  void run_batch(std::span<const Packet> pkts, BatchResult& out);
+
   Parser parser_;
   int max_recirculations_;
   std::vector<std::shared_ptr<PipelineStage>> ingress_;
@@ -293,6 +346,11 @@ class Pipeline {
   std::uint64_t table_generation_ = 0;  ///< bumped per control write batch
   obs::Telemetry* telemetry_ = nullptr;
   PacketObserver* observer_ = nullptr;
+  /// Per-program tallies of the batch in flight, indexed by ProgramId and
+  /// all zero between batches; `tallied_` lists the nonzero ones so the
+  /// reset touches only those. Both grow only when a new id shows up.
+  std::vector<ProgramTally> tallies_;
+  std::vector<ProgramId> tallied_;
 };
 
 }  // namespace p4runpro::rmt

@@ -1,14 +1,21 @@
 // Tests for the per-program data-plane health monitor and the packet
 // flight recorder: rolling-window semantics, alert edge-triggering,
-// ring/freeze behavior, and the end-to-end multi-program scenario (two
+// ring/freeze behavior, the end-to-end multi-program scenario (two
 // deployed programs, attributed traffic, a recirculation alert that fires
-// for the offending program only and freezes the journey ring).
+// for the offending program only and freezes the journey ring), and the
+// batch fold: inject_batch and per-packet inject leave the monitor in the
+// same state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/program_library.h"
 #include "common/clock.h"
+#include "common/rng.h"
 #include "control/controller.h"
 #include "control/inspect.h"
 #include "dataplane/runpro_dataplane.h"
@@ -513,6 +520,286 @@ TEST(MonitorScenario, RevokeShowsUpInStreamAndHealth) {
   (void)dataplane.inject(cache_packet());
   EXPECT_EQ(h->packets, 1u);
   EXPECT_EQ(telemetry.monitor.health(0)->packets, 1u);
+}
+
+
+// ------------------------------------------------ batch-native observation
+
+/// One switch with cache (drops cache writes), hh (recirculates every
+/// packet, reports heavy hitters) and lb linked, observed by its own
+/// telemetry bundle. Two beds built alike get the same program ids.
+struct ObservedBed {
+  obs::Telemetry telemetry;
+  SimClock clock;
+  dp::RunproDataplane dataplane{dp::DataplaneSpec{}, rmt::ParserConfig{{7777}}};
+  ctrl::Controller controller{dataplane, clock, rp::Objective{}, ctrl::BfrtCostModel{},
+                              &telemetry};
+
+  ObservedBed() {
+    controller.set_fixed_alloc_charge_ms(1.0);
+    link("cache", 0);
+    link("hh", 0x0a000000u);  // src 10.0/16
+    link("lb", 0x0a020000u);  // dst 10.2/16
+  }
+
+  void link(const char* key, Word filter) {
+    apps::ProgramConfig config;
+    config.instance_name = key;
+    config.filter_value = filter;
+    config.threshold = 16;  // hh: a few flows cross it and get reported
+    const auto linked = controller.link_single(apps::make_program_source(key, config));
+    ASSERT_TRUE(linked.ok()) << linked.error().message;
+  }
+};
+
+/// Seeded mix: cache reads, writes (dropped) and misses; a handful of hh
+/// flows; lb traffic; and packets no program claims.
+std::vector<rmt::Packet> seeded_trace(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<rmt::Packet> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rmt::Packet pkt;
+    pkt.ingress_port = static_cast<Port>(rng.uniform(16));
+    const auto host = static_cast<Word>(rng.uniform(64));
+    const double draw = rng.uniform01();
+    if (draw < 0.3) {
+      pkt.ipv4 = rmt::Ipv4Header{.src = 0x0b000000u | host, .dst = 0x0b010001u, .proto = 17};
+      pkt.udp = rmt::UdpHeader{4000, 7777};
+      const auto op = static_cast<Word>(1 + rng.uniform(2));
+      const Word key = rng.uniform(4) == 0 ? 0x1234u : 0x8888u;
+      pkt.app = rmt::AppHeader{op, key, 0, 0};
+    } else if (draw < 0.6) {
+      pkt.ipv4 = rmt::Ipv4Header{
+          .src = 0x0a000000u | static_cast<Word>(rng.uniform(8)), .dst = 0x0b000001u,
+          .proto = 17};
+      pkt.udp = rmt::UdpHeader{5000, 6000};
+    } else if (draw < 0.85) {
+      pkt.ipv4 = rmt::Ipv4Header{.src = 0x0c000000u | host, .dst = 0x0a020000u | host,
+                                 .proto = 17};
+      pkt.udp = rmt::UdpHeader{static_cast<std::uint16_t>(1000 + host), 80};
+    } else {
+      pkt.ipv4 = rmt::Ipv4Header{.src = 0x0c000000u | host, .dst = 0x0c010000u | host,
+                                 .proto = 17};
+      pkt.udp = rmt::UdpHeader{1, 2};
+    }
+    out.push_back(pkt);
+  }
+  return out;
+}
+
+constexpr std::size_t kParityBatch = 256;
+
+/// Sends `trace` in batches of 256; returns the batches' summed drops
+/// (Dropped + RecircLimit) and recirculation passes.
+std::pair<std::uint64_t, std::uint64_t> inject_in_batches(
+    ObservedBed& bed, const std::vector<rmt::Packet>& trace) {
+  std::uint64_t drops = 0, recirc = 0;
+  for (std::size_t at = 0; at < trace.size(); at += kParityBatch) {
+    const std::size_t len = std::min(kParityBatch, trace.size() - at);
+    const auto result =
+        bed.dataplane.inject_batch(std::span<const rmt::Packet>(trace.data() + at, len));
+    drops += result.dropped + result.recirc_limited;
+    recirc += result.recirc_passes;
+    (void)bed.dataplane.pipeline().drain_cpu_queue();
+  }
+  return {drops, recirc};
+}
+
+void inject_one_by_one(ObservedBed& bed, const std::vector<rmt::Packet>& trace) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    (void)bed.dataplane.inject(trace[i]);
+    if (i % kParityBatch == kParityBatch - 1) {
+      (void)bed.dataplane.pipeline().drain_cpu_queue();
+    }
+  }
+}
+
+std::vector<std::string> rendered(const std::vector<rmt::TraceEvent>& events) {
+  std::vector<std::string> out;
+  for (const auto& event : events) out.push_back(rmt::render_trace(event));
+  return out;
+}
+
+/// The same seeded trace through inject_batch (batches of 256) and through
+/// per-packet inject: the monitor must end up in the same state.
+void expect_batch_parity(std::uint32_t sample_every) {
+  ObservedBed batched, single;
+  batched.telemetry.flight.set_sample_every(sample_every);
+  single.telemetry.flight.set_sample_every(sample_every);
+  const auto trace = seeded_trace(17, 4096);
+  const auto [batch_drops, batch_recirc] = inject_in_batches(batched, trace);
+  inject_one_by_one(single, trace);
+
+  const obs::ProgramHealthMonitor& b = batched.telemetry.monitor;
+  const obs::ProgramHealthMonitor& s = single.telemetry.monitor;
+  EXPECT_EQ(b.packets_observed(), trace.size());
+  EXPECT_EQ(b.packets_observed(), s.packets_observed());
+  EXPECT_EQ(batched.telemetry.metrics.counter("obs.monitor.packets").value(),
+            single.telemetry.metrics.counter("obs.monitor.packets").value());
+
+  ASSERT_EQ(b.known_programs(), s.known_programs());
+  std::uint64_t recirc = 0, drops = 0;
+  for (const ProgramId id : s.known_programs()) {
+    SCOPED_TRACE("program " + std::to_string(id));
+    const obs::ProgramHealth& hb = *b.health(id);
+    const obs::ProgramHealth& hs = *s.health(id);
+    EXPECT_EQ(hb.packets, hs.packets);
+    EXPECT_EQ(hb.table_hits, hs.table_hits);
+    EXPECT_EQ(hb.table_misses, hs.table_misses);
+    EXPECT_EQ(hb.salu_updates, hs.salu_updates);
+    EXPECT_EQ(hb.recirc_passes, hs.recirc_passes);
+    EXPECT_EQ(hb.drops, hs.drops);
+    EXPECT_DOUBLE_EQ(b.packet_rate(id), s.packet_rate(id));
+    EXPECT_DOUBLE_EQ(b.recirc_per_packet(id), s.recirc_per_packet(id));
+    EXPECT_DOUBLE_EQ(b.drop_fraction(id), s.drop_fraction(id));
+    recirc += hs.recirc_passes;
+    drops += hs.drops;
+  }
+  // The trace exercises every tallied field, and the monitor's totals match
+  // the pipeline's own batch counts, so a fold that loses one shows.
+  EXPECT_GT(recirc, 0u);
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(recirc, batch_recirc);
+  EXPECT_EQ(drops, batch_drops);
+
+  const auto& jb = batched.telemetry.flight.journeys();
+  const auto& js = single.telemetry.flight.journeys();
+  EXPECT_EQ(batched.telemetry.flight.recorded(), single.telemetry.flight.recorded());
+  ASSERT_EQ(jb.size(), js.size());
+  for (std::size_t i = 0; i < js.size(); ++i) {
+    SCOPED_TRACE("journey " + std::to_string(i));
+    EXPECT_EQ(jb[i].seq, js[i].seq);
+    EXPECT_EQ(jb[i].program, js[i].program);
+    EXPECT_EQ(jb[i].fate, js[i].fate);
+    EXPECT_EQ(jb[i].recirc_passes, js[i].recirc_passes);
+    EXPECT_EQ(rendered(jb[i].events), rendered(js[i].events));
+  }
+  if (sample_every != 0) {
+    EXPECT_FALSE(js.empty());
+  }
+}
+
+TEST(MonitorBatch, BatchAndPerPacketInjectAgree) { expect_batch_parity(0); }
+
+TEST(MonitorBatch, BatchAndPerPacketInjectAgreeWithSampledJourneys) {
+  expect_batch_parity(7);
+}
+
+rmt::Packet cache_write_packet() {
+  rmt::Packet pkt = cache_packet();
+  pkt.app->op = 2;  // cache write: the program drops it
+  return pkt;
+}
+
+TEST(MonitorBatch, RuleCrossedMidBatchFiresOnceAtBatchEnd) {
+  ObservedBed batched, single;
+  for (ObservedBed* bed : {&batched, &single}) {
+    bed->telemetry.monitor.add_rule({"drop-storm", obs::AlertKind::DropFraction, 0.25});
+    // Only the first packet is sampled: it is a read, so the ring holds one
+    // journey when the rule freezes it.
+    bed->telemetry.flight.set_sample_every(1000);
+  }
+  // 30 reads then 30 writes: the drop fraction reaches 0.25 at the 10th
+  // write and ends the batch at 0.5.
+  std::vector<rmt::Packet> batch(30, cache_packet());
+  batch.insert(batch.end(), 30, cache_write_packet());
+
+  (void)batched.dataplane.inject_batch(batch);
+  for (const auto& pkt : batch) (void)single.dataplane.inject(pkt);
+
+  const obs::ProgramHealthMonitor& monitor = batched.telemetry.monitor;
+  ASSERT_EQ(monitor.alerts_fired(), 1u);
+  const obs::MonitorEvent& alert = monitor.events().back();
+  ASSERT_EQ(alert.kind, obs::MonitorEvent::Kind::Alert);
+  EXPECT_EQ(alert.rule, "drop-storm");
+  EXPECT_DOUBLE_EQ(alert.value, 0.5);  // the batch's total, not the crossing
+  EXPECT_TRUE(batched.telemetry.flight.frozen());
+  EXPECT_EQ(batched.telemetry.flight.freeze_reason(), "drop-storm");
+  EXPECT_EQ(batched.telemetry.flight.journeys().size(), 1u);
+
+  // Per-packet inject fires at the crossing packet instead.
+  ASSERT_EQ(single.telemetry.monitor.alerts_fired(), 1u);
+  EXPECT_DOUBLE_EQ(single.telemetry.monitor.events().back().value, 0.25);
+
+  // Edge-triggered per batch: the fraction stays at 0.5, no refire.
+  (void)batched.dataplane.inject_batch(batch);
+  EXPECT_EQ(monitor.alerts_fired(), 1u);
+}
+
+TEST(MonitorBatch, AccountingCountsEveryObservedPacket) {
+  ObservedBed bed;
+  bed.telemetry.flight.set_sample_every(7);
+  bed.telemetry.monitor.set_overhead_accounting(true);
+  const auto trace = seeded_trace(5, 1000);
+  inject_in_batches(bed, trace);
+  const obs::ProgramHealthMonitor& monitor = bed.telemetry.monitor;
+  EXPECT_EQ(monitor.packets_observed(), trace.size());
+  EXPECT_EQ(monitor.hook_calls(), monitor.packets_observed());
+  EXPECT_DOUBLE_EQ(bed.telemetry.metrics.gauge_value("obs.self.monitor_hook_calls"),
+                   static_cast<double>(trace.size()));
+
+  // Off again: nothing more is counted.
+  bed.telemetry.monitor.set_overhead_accounting(false);
+  inject_in_batches(bed, trace);
+  EXPECT_EQ(monitor.hook_calls(), trace.size());
+}
+
+/// Records what the pipeline hands an observer; samples every third packet.
+class RecordingObserver final : public rmt::PacketObserver {
+ public:
+  bool sample_packet() override { return queries_++ % 3 == 0; }
+  void on_packet(const rmt::PacketObservation& obs) override {
+    ++packets_;
+    if (obs.events != nullptr) ++traced_;
+  }
+  void on_batch(const rmt::BatchObservation& batch) override {
+    ++batches_;
+    last_programs_.assign(batch.programs.begin(), batch.programs.end());
+    last_packets_ = batch.packets;
+    last_sum_ = 0;
+    for (const ProgramId id : batch.programs) last_sum_ += batch.tallies[id].packets;
+    last_tally_ns_ = batch.tally_ns;
+  }
+
+  std::uint64_t queries_ = 0, packets_ = 0, traced_ = 0, batches_ = 0;
+  std::vector<ProgramId> last_programs_;
+  std::uint64_t last_packets_ = 0, last_sum_ = 0, last_tally_ns_ = 0;
+};
+
+TEST(MonitorBatch, SampledPacketsGoToOnPacketAndTheRestToOneOnBatch) {
+  ObservedBed bed;
+  RecordingObserver recorder;
+  rmt::Pipeline& pipe = bed.dataplane.pipeline();
+  pipe.set_observer(&recorder);
+  const auto trace = seeded_trace(9, 60);
+
+  (void)bed.dataplane.inject_batch(trace);
+  EXPECT_EQ(recorder.queries_, 60u);  // one sampling query per packet
+  EXPECT_EQ(recorder.packets_, 20u);  // every third packet
+  EXPECT_EQ(recorder.traced_, 20u);   // ... with its events
+  EXPECT_EQ(recorder.batches_, 1u);
+  EXPECT_EQ(recorder.last_packets_, 40u);
+  EXPECT_EQ(recorder.last_sum_, 40u);
+  EXPECT_EQ(recorder.last_tally_ns_, 0u);  // the default observer does not account
+  std::vector<ProgramId> unique = recorder.last_programs_;
+  std::sort(unique.begin(), unique.end());
+  EXPECT_EQ(std::unique(unique.begin(), unique.end()), unique.end());
+
+  // The tallies reset between batches: the second one carries only its own.
+  (void)bed.dataplane.inject_batch(std::span<const rmt::Packet>(trace.data(), 30));
+  EXPECT_EQ(recorder.batches_, 2u);
+  EXPECT_EQ(recorder.last_packets_, 20u);
+  EXPECT_EQ(recorder.last_sum_, 20u);
+
+  // Global tracing: every packet is traced, so every packet goes to
+  // on_packet and nothing is left for on_batch.
+  pipe.set_tracing(true);
+  (void)bed.dataplane.inject_batch(trace);
+  pipe.set_tracing(false);
+  EXPECT_EQ(recorder.packets_, 20u + 10u + 60u);
+  EXPECT_EQ(recorder.traced_, recorder.packets_);
+  EXPECT_EQ(recorder.batches_, 2u);
 }
 
 }  // namespace

@@ -263,5 +263,23 @@ TEST(TraceReport, SingleSwitchOperationsMintDistinctIds) {
   EXPECT_EQ(revoke_report.root_name(), "revoke");
 }
 
+TEST(TraceReport, ShedAndDefragEventsAreLabelled) {
+  obs::Telemetry telemetry;
+  std::uint64_t id = 0;
+  {
+    obs::TraceScope trace(&telemetry);
+    id = trace.trace_id();
+    telemetry.monitor.admission_shed(2, "t2_cache", "admission queue full");
+    telemetry.monitor.defrag_moved(3, 8, "lb", 50, 20);
+  }
+  const std::string story = ctrl::trace_report(telemetry, id);
+  EXPECT_NE(story.find("admission shed 't2_cache' tenant=2 detail=\"admission queue full\""),
+            std::string::npos)
+      << story;
+  EXPECT_NE(story.find("defrag move 'lb' id=8 old_id=3 gain=30"), std::string::npos)
+      << story;
+  EXPECT_EQ(story.find(" ? "), std::string::npos) << story;
+}
+
 }  // namespace
 }  // namespace p4runpro
