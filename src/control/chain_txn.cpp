@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -91,28 +92,8 @@ Status ChainTransaction::commit_all() {
   if (pipelined()) {
     commit_span.arg("pipelined", "1");
     commit_submit();
-    return commit_finish();
   }
-
-  for (std::size_t h = 0; h < txns_.size(); ++h) {
-    auto installed = txns_[h]->commit();
-    if (!installed.ok()) {
-      // Hop h's engine journal already restored hop h and the transaction
-      // rolled its reservations back. Un-commit every hop before it and
-      // release the reservations of every hop after it.
-      faulted_hop_ = static_cast<int>(h);
-      auto unwind_span = chain_span("chain_txn.unwind");
-      unwind_span.arg("committed_hops", static_cast<std::uint64_t>(h));
-      for (std::size_t g = h; g-- > 0;) unwind_committed_hop(static_cast<int>(g));
-      for (std::size_t g = h + 1; g < txns_.size(); ++g) txns_[g]->rollback();
-      installed_.clear();
-      phase_ = Phase::RolledBack;
-      return installed.error();
-    }
-    installed_.push_back(std::move(installed).take());
-  }
-  phase_ = Phase::Committed;
-  return {};
+  return commit_finish();
 }
 
 void ChainTransaction::commit_submit() {
@@ -130,33 +111,43 @@ void ChainTransaction::commit_wait() {
 }
 
 Status ChainTransaction::commit_finish() {
-  assert(phase_ == Phase::Submitted);
-  std::vector<std::unique_ptr<InstalledProgram>> committed(txns_.size());
+  assert(phase_ == Phase::Staged || phase_ == Phase::Submitted);
+  std::vector<std::optional<InstalledProgram>> committed(txns_.size());
+  std::uint64_t committed_hops = 0;
   Status first_error;
   for (std::size_t h = 0; h < txns_.size(); ++h) {
-    auto installed = txns_[h]->commit_finish();
+    DeployTransaction& txn = *txns_[h];
+    if (txn.phase() == DeployTransaction::Phase::Staged) {
+      // Serial: a hop reaches its channel only once every hop before it
+      // settled cleanly, so virtual time sums across hops and the first
+      // fault stops the chain.
+      if (!first_error.ok()) break;
+      txn.commit_submit();
+    }
+    auto installed = txn.commit_finish();
     if (!installed.ok()) {
-      // Keep settling the remaining hops — their writer jobs reference
-      // their staged batches and must complete before we unwind anything.
+      // The faulted hop rolled itself back. Pipelined, keep settling the
+      // remaining hops: their jobs reference their staged batches and must
+      // complete before anything unwinds.
       if (first_error.ok()) {
         faulted_hop_ = static_cast<int>(h);
         first_error = installed.error();
       }
       continue;
     }
-    committed[h] = std::make_unique<InstalledProgram>(std::move(installed).take());
+    committed[h] = std::move(installed).take();
+    ++committed_hops;
   }
   if (!first_error.ok()) {
-    // Faulted hops rolled themselves back at finish; un-commit every hop
-    // that settled successfully — including those AFTER the faulted hop
-    // (they were already in flight when the fault surfaced).
-    std::size_t committed_hops = 0;
-    for (const auto& p : committed) committed_hops += p != nullptr ? 1u : 0u;
+    // Un-commit every hop that settled cleanly — pipelined, including those
+    // after the faulted hop — then return the reservations of every hop
+    // that never reached its channel.
     auto unwind_span = chain_span("chain_txn.unwind");
-    unwind_span.arg("committed_hops", static_cast<std::uint64_t>(committed_hops));
+    unwind_span.arg("committed_hops", committed_hops);
     for (std::size_t g = committed.size(); g-- > 0;) {
       if (committed[g]) unwind_committed_hop(static_cast<int>(g), *committed[g]);
     }
+    for (auto& txn : txns_) txn->rollback();
     installed_.clear();
     phase_ = Phase::RolledBack;
     return first_error;
@@ -187,14 +178,10 @@ void ChainTransaction::unwind_commit() {
   auto unwind_span = chain_span("chain_txn.unwind");
   unwind_span.arg("committed_hops", static_cast<std::uint64_t>(hops_.size()));
   for (std::size_t g = hops_.size(); g-- > 0;) {
-    unwind_committed_hop(static_cast<int>(g));
+    unwind_committed_hop(static_cast<int>(g), installed_[g]);
   }
   installed_.clear();
   phase_ = Phase::RolledBack;
-}
-
-void ChainTransaction::unwind_committed_hop(int hop) {
-  unwind_committed_hop(hop, installed_[static_cast<std::size_t>(hop)]);
 }
 
 void ChainTransaction::unwind_committed_hop(int hop, InstalledProgram& program) {

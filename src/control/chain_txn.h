@@ -8,15 +8,15 @@
 //     op-logs are built on EVERY hop before a single control-channel write
 //     lands anywhere; any hop's AllocFailed / staging error aborts the
 //     whole chain with nothing but reservation churn to undo.
-//   phase 2 (commit_all): execute each hop's staged op-log through that
-//     hop's UpdateEngine, hop by hop. A channel fault at ANY (hop, write
-//     index) pair unwinds: the faulted hop is restored by its engine's
-//     rollback journal, and every hop committed before it is un-committed
-//     (consistent remove + reservation release + residual-byte restore),
-//     leaving the whole chain byte-identical to its pre-transaction state.
+//   phase 2 (commit_all): submit each hop's staged op-log to that hop's
+//     UpdateEngine and settle it. A channel fault at ANY (hop, write index)
+//     pair unwinds: the faulted hop is restored by its engine's rollback
+//     journal, and every hop that committed is un-committed (consistent
+//     remove + reservation release + residual-byte restore), leaving the
+//     whole chain byte-identical to its pre-transaction state.
 //
 // Residual bytes: un-committing a hop runs the consistent-remove path,
-// whose lock-and-reset step zeroes the program's memory blocks — but the
+// whose memory-reset step zeroes the program's memory blocks — but the
 // pre-transaction bytes of those (then-free) blocks were not necessarily
 // zero. stage_all() therefore captures the residual contents of every
 // reserved block, and the unwind writes them back after the remove, so the
@@ -58,6 +58,7 @@ class ChainTransaction {
     Solved,      ///< per-hop allocations bound, nothing reserved yet
     Staged,      ///< every hop reserved + staged, no dataplane writes yet
     Submitted,   ///< every hop's op-log in flight on its async channel
+                 ///< (pipelined only; serial hops submit as they settle)
     Committed,   ///< op-logs executed on every hop
     RolledBack,  ///< chain-wide pre-transaction state restored
   };
@@ -80,20 +81,21 @@ class ChainTransaction {
   /// RolledBack (faulted_hop() names the hop that failed).
   Status stage_all();
 
-  /// Phase 2: execute the staged op-logs hop by hop. On a fault the whole
-  /// chain is restored (see class comment) and the transaction is
-  /// RolledBack; faulted_hop() names the hop whose write failed.
+  /// Phase 2: commit every hop. On a fault the whole chain is restored (see
+  /// class comment) and the transaction is RolledBack; faulted_hop() names
+  /// the hop whose write failed. Pipelined, this is commit_submit()
+  /// followed by commit_finish(); serial, commit_finish() alone.
   ///
-  /// Pipelined mode: when EVERY hop's update engine is async, phase 2
-  /// submits all hops' op-logs up front and the per-hop writer threads
-  /// drain their channels concurrently — chain update latency becomes
-  /// max(per-hop channel time) instead of the sum. Consistency is
-  /// unchanged: each hop's op-log still runs in consistent-update order on
-  /// its own channel (filters land last per hop), settlement is in hop
-  /// order, and a fault on any hop still restores the whole chain
-  /// byte-identically (committed hops are un-committed whether they settled
-  /// before or after the faulted one). Pipelined, this is commit_submit()
-  /// followed by commit_finish().
+  /// Serial mode submits and settles hop by hop and stops at the first
+  /// fault, so the chain's update latency is the sum of the hops' channel
+  /// times. Pipelined mode (EVERY hop's update engine async) submits all
+  /// hops' op-logs up front and the per-hop writer threads drain their
+  /// channels concurrently — latency becomes max(per-hop channel time).
+  /// Consistency is the same in both: each hop's op-log runs in
+  /// consistent-update order on its own channel (filters land last per
+  /// hop), settlement is in hop order, and a fault on any hop restores the
+  /// whole chain byte-identically (committed hops are un-committed whether
+  /// they settled before or after the faulted one).
   Status commit_all();
 
   // --- split pipelined commit (every hop async) ---------------------------
@@ -101,8 +103,9 @@ class ChainTransaction {
   //   commit_submit() — under the session lock: submit every hop's op-log.
   //   commit_wait()   — OPTIONAL, lock-free: block until every hop's writer
   //                     has completed (no shared state touched).
-  //   commit_finish() — under the session lock: settle the hops in order,
-  //                     unwinding the chain on any hop's fault.
+  //   commit_finish() — under the session lock: settle the hops in order
+  //                     (serial: submitting each first), unwinding the
+  //                     chain on any hop's fault. The one settle body.
 
   /// True when every hop's update engine is async (phase 2 pipelines).
   [[nodiscard]] bool pipelined() const;
@@ -145,11 +148,8 @@ class ChainTransaction {
     std::vector<Word> words;
   };
 
-  /// Un-commit one hop: consistent remove, release entries, erase the
-  /// program record, restore the blocks' residual bytes.
-  void unwind_committed_hop(int hop);
-  /// Same, for a program not (yet) adopted into installed_ — the pipelined
-  /// fault path unwinds hops that settled successfully around the fault.
+  /// Un-commit one hop's `program`: consistent remove, release entries,
+  /// erase the program record, restore the blocks' residual bytes.
   void unwind_committed_hop(int hop, InstalledProgram& program);
   /// A chain_txn.* span: inert on one hop, which keeps the single-switch
   /// span tree.

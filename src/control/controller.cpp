@@ -666,19 +666,19 @@ Status Controller::remove_locked(ProgramId id, Session* park, int* faulted_hop) 
   }
 
   const bool pipelined = this->pipelined();
-  std::vector<UpdateEngine::PendingWrite> pending;
+  std::vector<UpdateEngine::PendingWrite> pending(hops);
   if (pipelined) {
     // Submit every hop's consistent remove up front so the per-hop channels
     // drain concurrently; settle in hop order below.
-    for (auto& hop : hops_) {
-      pending.push_back(hop->updates.submit_remove(hop->programs.at(id)));
+    for (std::size_t h = 0; h < hops; ++h) {
+      pending[h] = hops_[h]->updates.submit_remove(hops_[h]->programs.at(id));
     }
     if (park != nullptr) {
       // The busy guard keeps relink/revoke sessions off this program while
       // the writers own its handle vectors.
       busy_ids_.insert(id);
       park->park([&] {
-        for (auto& write : pending) write.done.wait();
+        for (auto& write : pending) write.wait();
       });
       busy_ids_.erase(id);
     }
@@ -690,8 +690,13 @@ Status Controller::remove_locked(ProgramId id, Session* park, int* faulted_hop) 
   for (std::size_t h = 0; h < hops; ++h) {
     Hop& hop = *hops_[h];
     InstalledProgram& program = hop.programs.at(id);
-    const Status s = pipelined ? hop.updates.finish_remove(pending[h], program)
-                               : hop.updates.remove(program);
+    if (!pipelined) {
+      // Serial: a hop is submitted only once every hop before it removed
+      // cleanly; the first fault stops the chain.
+      if (fault >= 0) break;
+      pending[h] = hop.updates.submit_remove(program);
+    }
+    const Status s = hop.updates.finish_remove(pending[h], program);
     if (!s.ok()) {
       // Hop h's removal journal restored the program there (fresh handles,
       // resources intact). Pipelined, keep settling the remaining hops —
@@ -700,7 +705,6 @@ Status Controller::remove_locked(ProgramId id, Session* park, int* faulted_hop) 
         fault = static_cast<int>(h);
         error = s;
       }
-      if (!pipelined) break;
       continue;
     }
     removed[h] = true;

@@ -387,9 +387,10 @@ class Controller {
   /// The one removal body: consistently remove `id` from every hop, release
   /// its resources, tenant charge and id. A fault at hop h (restored by its
   /// engine journal) re-installs every hop already removed from its
-  /// pre-removal image; `faulted_hop` reports h. Pipelined (all hops
-  /// submitted up front, settled in hop order) when every hop is async;
-  /// `park` (may be null) then waits off-lock. No audit.
+  /// pre-removal image; `faulted_hop` reports h. One settle loop: serial,
+  /// each hop is submitted as the loop reaches it and the first fault stops
+  /// it; pipelined (every hop async), all hops are submitted up front and
+  /// `park` (may be null) waits off-lock before the loop. No audit.
   Status remove_locked(ProgramId id, Session* park, int* faulted_hop);
   /// Re-install a pre-removal image on one hop: re-claim the exact memory
   /// blocks, re-reserve entries, replay the install op-log (fresh handles).

@@ -22,9 +22,9 @@ DeployTransaction::DeployTransaction(DeployContext ctx,
 
 DeployTransaction::~DeployTransaction() {
   if (phase_ == Phase::Submitted) {
-    // Abandoning an in-flight transaction would leave the writer's job
-    // referencing our staged batch: settle it first. (The write completes —
-    // submission is the commit point on the async channel.)
+    // Abandoning a submitted transaction would leave its job referencing
+    // our staged batch: settle it first. (The write completes — submission
+    // is the commit point on the channel.)
     (void)commit_finish();
   }
   if (phase_ != Phase::Committed && phase_ != Phase::RolledBack) rollback();
@@ -117,28 +117,15 @@ void DeployTransaction::stage() {
   phase_ = Phase::Staged;
 }
 
-Result<InstalledProgram> DeployTransaction::commit() {
-  assert(phase_ == Phase::Staged);
-  if (ctx_.updates.async()) {
-    // Single-call flows in async mode submit and settle inline; only the
-    // pipelined paths use the split directly.
-    commit_submit();
-    return commit_finish();
-  }
-  auto commit_span = obs::span(ctx_.telemetry, "txn.commit", "ctrl");
-  commit_span.arg("ops", static_cast<std::uint64_t>(batch_.size()));
-  return finalize(ctx_.updates.execute_install(batch_));
-}
-
 void DeployTransaction::commit_submit() {
   assert(phase_ == Phase::Staged);
-  assert(ctx_.updates.async() && "commit_submit requires an async update engine");
-  {
-    // Closed immediately: the channel time is reported by the bfrt spans the
-    // finish replays, not by the submission.
-    auto commit_span = obs::span(ctx_.telemetry, "txn.commit", "ctrl");
-    commit_span.arg("ops", static_cast<std::uint64_t>(batch_.size()));
-    commit_span.arg("async", "1");
+  commit_span_ = obs::span(ctx_.telemetry, "txn.commit", "ctrl");
+  commit_span_.arg("ops", static_cast<std::uint64_t>(batch_.size()));
+  if (ctx_.updates.async()) {
+    // Closed now: no span stays open while the session parks off-lock. The
+    // channel time is reported by the bfrt spans the finish replays.
+    commit_span_.arg("async", "1");
+    commit_span_.end();
   }
   pending_ = ctx_.updates.submit_install(batch_);
   phase_ = Phase::Submitted;
@@ -146,7 +133,7 @@ void DeployTransaction::commit_submit() {
 
 void DeployTransaction::commit_wait() {
   assert(phase_ == Phase::Submitted);
-  pending_.done.wait();
+  pending_.wait();
 }
 
 Result<InstalledProgram> DeployTransaction::commit_finish() {
@@ -156,7 +143,9 @@ Result<InstalledProgram> DeployTransaction::commit_finish() {
                                     pending_.submitted_ns) /
                 1e6;
   phase_ = Phase::Staged;  // settled; finalize() decides Committed/RolledBack
-  return finalize(std::move(applied));
+  auto installed = finalize(std::move(applied));
+  commit_span_.end();
+  return installed;
 }
 
 Result<InstalledProgram> DeployTransaction::finalize(

@@ -9,9 +9,10 @@
 // resource manager; plan_entries() binds the IR to concrete RPB entries;
 // stage() builds the declarative op-log (dp::WriteBatch) — relink
 // carry-over memory writes first, then the consistent-update install order —
-// WITHOUT touching the dataplane; commit() hands the batch to the update
-// engine, whose rollback journal guarantees a fault at any write index
-// leaves the dataplane byte-identical. rollback() (also run by the
+// WITHOUT touching the dataplane; commit_submit() hands the batch to the
+// update engine and commit_finish() settles it — the engine's rollback
+// journal guarantees a fault at any write index leaves the dataplane
+// byte-identical. rollback() (also run by the
 // destructor on abandonment) returns every reservation; after it, no trace
 // of the transaction remains anywhere but the audit log.
 //
@@ -32,6 +33,7 @@
 #include "control/update_engine.h"
 #include "dataplane/runpro_dataplane.h"
 #include "dataplane/write_op.h"
+#include "obs/trace.h"
 
 namespace p4runpro::obs {
 struct Telemetry;
@@ -55,7 +57,7 @@ class DeployTransaction {
     Reserved,    ///< memory blocks + table entries held
     Planned,     ///< entry plan generated against the reservations
     Staged,      ///< op-log built, dataplane still untouched
-    Submitted,   ///< op-log in flight on the async channel (writer thread)
+    Submitted,   ///< op-log handed to the channel, not yet settled
     Committed,   ///< op-log executed; resources belong to the program now
     RolledBack,  ///< every reservation returned
   };
@@ -80,37 +82,32 @@ class DeployTransaction {
   /// Build the op-log: carry-over WriteMemRange ops first (relink), then
   /// the install sequence in consistent-update order.
   void stage();
-  /// Execute the op-log through the update engine. On success the program
-  /// is recorded with the resource manager and announced to the monitor; on
-  /// failure the engine's journal has already unwound the dataplane and
-  /// this transaction rolls its reservations back before returning. In
-  /// async mode this routes through commit_submit + commit_finish inline.
-  Result<InstalledProgram> commit();
-
-  // --- split commit (async channel) --------------------------------------
-  // The pipelined paths separate submission from settlement so a session
-  // can release its lock (or submit the next hop) while the writer drains
-  // the channel:
+  // --- commit: submit, then settle ---------------------------------------
+  // Submission is separate from settlement so a pipelined session can
+  // release its lock (or submit the next hop) while the writer drains the
+  // channel:
   //   commit_submit()  — under the session lock: hand the op-log to the
-  //                      writer, phase -> Submitted, return immediately.
-  //   commit_wait()    — OPTIONAL, lock-free: block until the writer
-  //                      signals completion (no shared state touched).
+  //                      engine, phase -> Submitted. Async, returns at once;
+  //                      serial, the write has run inline when it returns.
+  //   commit_wait()    — OPTIONAL, lock-free: block until the write has run
+  //                      (no shared state touched).
   //   commit_finish()  — under the session lock: settle the write (clock
-  //                      advance, telemetry replay), then the same
-  //                      success/rollback handling as commit().
-  // Requires the context's update engine to be in async mode.
+  //                      advance, telemetry replay), then record the program
+  //                      or roll the reservations back.
+  // The txn.commit span stays open from submit to finish in serial mode (so
+  // the replayed bfrt.* spans nest under it); async, it closes at submit.
 
-  /// Submit the staged op-log to the engine's writer thread. Caller must
-  /// hold the session lock and must keep this transaction alive until
-  /// commit_finish (the in-flight job references the staged batch).
+  /// Submit the staged op-log. Caller must hold the session lock and must
+  /// keep this transaction alive until commit_finish (the job references
+  /// the staged batch).
   void commit_submit();
-  /// Block until the submitted write completes. Safe to call WITHOUT the
+  /// Block until the submitted write has run. Safe to call WITHOUT the
   /// session lock — this is the point a session parks while other sessions
   /// (or other hops) use the lock and the channel.
   void commit_wait();
   /// Settle the submitted write under the session lock: on success record +
-  /// announce the program (phase Committed); on a writer-reported fault the
-  /// dataplane is already unwound — roll reservations back and return the
+  /// announce the program (phase Committed); on a fault the engine's journal
+  /// already unwound the dataplane — roll reservations back and return the
   /// error.
   Result<InstalledProgram> commit_finish();
   /// Virtual milliseconds the write spent on the channel, from submission
@@ -129,8 +126,8 @@ class DeployTransaction {
   [[nodiscard]] const dp::WriteBatch& staged_batch() const noexcept { return batch_; }
 
  private:
-  /// Shared tail of commit()/commit_finish(): on success build + record +
-  /// announce the InstalledProgram; on failure roll reservations back.
+  /// Tail of commit_finish(): on success build + record + announce the
+  /// InstalledProgram; on failure roll reservations back.
   Result<InstalledProgram> finalize(Result<UpdateEngine::AppliedEntries> applied);
 
   DeployContext ctx_;
@@ -146,6 +143,7 @@ class DeployTransaction {
   rp::EntryPlan plan_;
   dp::WriteBatch batch_;
   UpdateEngine::PendingWrite pending_;  ///< valid while Submitted
+  obs::SpanTracer::Scope commit_span_;  ///< serial: open submit -> finish
   double channel_ms_ = 0.0;
 };
 

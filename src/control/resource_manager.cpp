@@ -206,17 +206,6 @@ void ResourceManager::free_memory(int rpb, const MemBlock& block) {
   used -= block.size;
 }
 
-void ResourceManager::lock_memory(int rpb, const MemBlock& block) {
-  // The block simply stays out of the free list; accounting keeps it
-  // "used" so it cannot be reallocated while resetting.
-  (void)rpb;
-  (void)block;
-}
-
-void ResourceManager::unlock_memory(int rpb, const MemBlock& block) {
-  free_memory(rpb, block);
-}
-
 Status ResourceManager::reserve_entries(int rpb, std::uint32_t count) {
   auto& used = entries_used_[static_cast<std::size_t>(rpb - 1)];
   if (used + count > spec_.entries_per_rpb) {

@@ -74,10 +74,6 @@ class ResourceManager {
   /// Conflict when any part of the range has been re-allocated meanwhile —
   /// impossible under the commit lock, so a failure indicates a journal bug.
   Status reclaim_block(int rpb, const MemBlock& block);
-  /// Take a block out of circulation during program termination; it stays
-  /// unavailable until `unlock_memory` (lock-and-reset, Fig. 6 step 4).
-  void lock_memory(int rpb, const MemBlock& block);
-  void unlock_memory(int rpb, const MemBlock& block);
 
   Status reserve_entries(int rpb, std::uint32_t count);
   void release_entries(int rpb, std::uint32_t count);

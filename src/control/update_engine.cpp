@@ -37,8 +37,7 @@ namespace {
 }
 
 /// Channel time of `us` microseconds, rounded exactly like
-/// SimClock::advance_us so async charge sums are byte-identical to the
-/// serial clock advances they replace.
+/// SimClock::advance_us.
 [[nodiscard]] SimClock::Nanos channel_ns(double us) {
   return static_cast<SimClock::Nanos>(std::llround(us * 1000.0));
 }
@@ -46,43 +45,22 @@ namespace {
 }  // namespace
 
 void UpdateEngine::charge_batch(std::size_t count, const char* what,
-                                ChannelCursor* cursor) {
-  if (cursor == nullptr) {
-    auto batch_span = obs::span(telemetry_, "bfrt.batch", "bfrt");
-    batch_span.arg("what", what);
-    batch_span.arg("entries", static_cast<std::uint64_t>(count));
-    if (hop_label_ >= 0) {
-      batch_span.arg("hop", static_cast<std::uint64_t>(hop_label_));
-    }
-    clock_.advance_us(cost_.per_batch_overhead_us +
-                      cost_.per_entry_write_us * static_cast<double>(count));
-    if (telemetry_ != nullptr) {
-      auto& m = telemetry_->metrics;
-      m.counter("ctrl.bfrt.batches").inc();
-      m.counter("ctrl.bfrt.entry_writes").inc(count);
-      if (maintenance_) m.counter("ctrl.bfrt.maintenance_batches").inc();
-      const auto bounds = obs::Histogram::count_bounds();
-      m.histogram("ctrl.bfrt.batch_entries", bounds)
-          .observe(static_cast<double>(count));
-    }
-    return;
-  }
-  // Writer thread: record the charge against the channel cursor. A batch
-  // directly behind a same-kind batch (no idle gap, no other kind between)
-  // coalesces into the predecessor's submission and skips the per-batch
-  // sync overhead.
+                                ChannelCursor& cursor) {
+  // A batch directly behind a same-kind batch (no idle gap, no other kind
+  // between) coalesces into the predecessor's submission and skips the
+  // per-batch sync overhead.
   ChannelCharge charge;
   charge.kind = ChannelCharge::Kind::Batch;
   charge.label = what;
   charge.entries = count;
-  charge.coalesced = !cursor->last_label.empty() && cursor->last_label == what;
+  charge.coalesced = cursor.coalesce && cursor.last_label == what;
   const double us = (charge.coalesced ? 0.0 : cost_.per_batch_overhead_us) +
                     cost_.per_entry_write_us * static_cast<double>(count);
-  charge.start_ns = cursor->now;
-  cursor->now += channel_ns(us);
-  charge.end_ns = cursor->now;
-  cursor->last_label = what;
-  cursor->charges->push_back(std::move(charge));
+  charge.start_ns = cursor.now;
+  cursor.now += channel_ns(us);
+  charge.end_ns = cursor.now;
+  cursor.last_label = what;
+  cursor.charges->push_back(std::move(charge));
 }
 
 void UpdateEngine::unwind(std::vector<JournalEntry>& journal) {
@@ -93,7 +71,7 @@ void UpdateEngine::unwind(std::vector<JournalEntry>& journal) {
 }
 
 Result<UpdateEngine::AppliedEntries> UpdateEngine::run_install(
-    const dp::WriteBatch& batch, ChannelCursor* cursor) {
+    const dp::WriteBatch& batch, ChannelCursor& cursor) {
   AppliedEntries out;
   std::vector<JournalEntry> journal;
   journal.reserve(batch.ops.size());
@@ -154,65 +132,24 @@ Result<UpdateEngine::AppliedEntries> UpdateEngine::run_install(
   return out;
 }
 
-Result<UpdateEngine::AppliedEntries> UpdateEngine::execute_install(
-    const dp::WriteBatch& batch) {
-  if (writer_) {
-    // Auto-route: single-call flows stay correct in async mode (the caller
-    // already holds the session lock, so blocking inline is safe).
-    PendingWrite pending = submit_install(batch);
-    return finish_install(pending);
-  }
-  auto out = run_install(batch, nullptr);
-  if (out.ok()) {
-    // Forward path completed: the pipeline's table state now belongs to the
-    // active control operation. (Rollbacks do NOT stamp — the reverted state
-    // still belongs to whichever earlier operation installed it.)
-    observe_publish(dataplane_.note_table_update(
-        telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0));
-  }
-  return out;
-}
-
 dp::WriteOp UpdateEngine::apply_mem_reset(const dp::WriteOp& op,
-                                          ChannelCursor* cursor,
-                                          WriteOutcome* outcome) {
-  const double us = cost_.memory_reset_us_per_kb *
-                    static_cast<double>(op.mem_size) * 4.0 / 1024.0;
-  if (cursor == nullptr) {
-    auto reset_span = obs::span(telemetry_, "bfrt.mem_reset", "bfrt");
-    reset_span.arg("vmem", op.vmem);
-    reset_span.arg("buckets", static_cast<std::uint64_t>(op.mem_size));
-    const MemBlock block{op.mem_base, op.mem_size};
-    resources_.lock_memory(op.mem_rpb, block);
-    auto applied = dataplane_.apply(op);  // captures the words -> RestoreMemRange
-    clock_.advance_us(us);
-    resources_.unlock_memory(op.mem_rpb, block);
-    if (telemetry_ != nullptr) {
-      telemetry_->metrics.counter("ctrl.bfrt.mem_resets").inc();
-    }
-    return std::move(applied).take();  // throws if the dataplane rejected the range
-  }
-  // Writer thread: zero the range and record the charge; the block free is
-  // deferred to finish_remove (the writer never touches the resource
-  // manager, so a fault-unwind finds the block still reserved).
-  auto applied = dataplane_.apply(op);
+                                          ChannelCursor& cursor) {
+  auto applied = dataplane_.apply(op);  // captures the words -> RestoreMemRange
   ChannelCharge charge;
   charge.kind = ChannelCharge::Kind::MemReset;
   charge.label = op.vmem;
   charge.entries = op.mem_size;
-  charge.start_ns = cursor->now;
-  cursor->now += channel_ns(us);
-  charge.end_ns = cursor->now;
-  cursor->last_label.clear();  // a reset breaks batch adjacency on the channel
-  cursor->charges->push_back(std::move(charge));
-  outcome->deferred_frees.emplace_back(op.mem_rpb,
-                                       MemBlock{op.mem_base, op.mem_size});
-  return std::move(applied).take();
+  charge.start_ns = cursor.now;
+  cursor.now += channel_ns(cost_.memory_reset_us_per_kb *
+                           static_cast<double>(op.mem_size) * 4.0 / 1024.0);
+  charge.end_ns = cursor.now;
+  cursor.last_label.clear();  // a reset breaks batch adjacency on the channel
+  cursor.charges->push_back(std::move(charge));
+  return std::move(applied).take();  // throws if the dataplane rejected the range
 }
 
 Status UpdateEngine::run_remove(const dp::WriteBatch& batch,
-                                InstalledProgram& program,
-                                ChannelCursor* cursor, WriteOutcome* outcome) {
+                                InstalledProgram& program, ChannelCursor& cursor) {
   std::vector<JournalEntry> journal;
   journal.reserve(batch.ops.size());
 
@@ -225,12 +162,7 @@ Status UpdateEngine::run_remove(const dp::WriteBatch& batch,
     group_count = 0;
   };
   auto fail = [&](Error err) -> Error {
-    rollback_remove(batch, journal, program, /*deferred_frees=*/cursor != nullptr);
-    if (outcome != nullptr) {
-      // The reset blocks were restored in place, never freed — nothing for
-      // finish_remove to release.
-      outcome->deferred_frees.clear();
-    }
+    rollback_remove(batch, journal, program);
     return err;
   };
 
@@ -239,7 +171,7 @@ Status UpdateEngine::run_remove(const dp::WriteBatch& batch,
     if (op.kind == dp::WriteOp::Kind::ResetMemRange) {
       flush();
       if (inject_fault()) return fail(channel_fault());
-      journal.push_back(JournalEntry{i, apply_mem_reset(op, cursor, outcome)});
+      journal.push_back(JournalEntry{i, apply_mem_reset(op, cursor)});
       observe_step();
       continue;
     }
@@ -275,57 +207,16 @@ Status UpdateEngine::run_remove(const dp::WriteBatch& batch,
   return {};
 }
 
-Status UpdateEngine::remove(InstalledProgram& program) {
-  if (writer_) {
-    PendingWrite pending = submit_remove(program);
-    return finish_remove(pending, program);
-  }
-  if (telemetry_ != nullptr) {
-    // The first delete step (filters) atomically stops the program from
-    // claiming packets, so the revoke is effective from here on.
-    telemetry_->monitor.program_revoked(program.id);
-  }
-  dp::WriteBatch batch;
-  rp::stage_remove(program.plan, program.filter_handles, program.rpb_handles,
-                   program.recirc_handles, program.placements, batch);
-  Status removed = run_remove(batch, program, nullptr, nullptr);
-  if (!removed.ok()) {
-    // The program is back in service with fresh handles: re-announce it so
-    // the monitor's installed set matches reality.
-    announce_deploy(program);
-    return removed;
-  }
-  observe_publish(dataplane_.note_table_update(
-      telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0));
-  return removed;
-}
-
 void UpdateEngine::rollback_remove(const dp::WriteBatch& batch,
                                    std::vector<JournalEntry>& journal,
-                                   InstalledProgram& program,
-                                   bool deferred_frees) {
+                                   InstalledProgram& program) {
   for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
     const dp::WriteOp& original = batch.ops[it->batch_index];
-    if (original.kind == dp::WriteOp::Kind::ResetMemRange) {
-      if (!deferred_frees) {
-        // The block was freed right after the reset; take it back out of the
-        // free list *before* restoring its bytes so neither occupancy nor
-        // contents can diverge from the pre-transaction state.
-        const Status reclaimed = resources_.reclaim_block(
-            original.mem_rpb, MemBlock{original.mem_base, original.mem_size});
-        assert(reclaimed.ok() && "journal block vanished from the free list");
-        (void)reclaimed;
-      }
-      // Async path: the free was deferred to finish_remove and never
-      // happened, so the block is still reserved — only the bytes need
-      // restoring.
-      dataplane_.undo(it->inverse);
-      continue;
-    }
     // Re-adding yields fresh handles; patch them back into the program so a
     // later revoke can find its entries. stage_remove's batch layout is
     // [DelFilters][DelRpbEntry x N (plan order)][DelRecirc][resets...], so
-    // batch_index - 1 is the plan index of an RPB entry.
+    // batch_index - 1 is the plan index of an RPB entry. A reset's inverse
+    // just writes the bytes back: its block was never freed.
     dp::WriteOp redo = dataplane_.undo(it->inverse);
     switch (original.kind) {
       case dp::WriteOp::Kind::DelFilters:
@@ -345,7 +236,7 @@ void UpdateEngine::rollback_remove(const dp::WriteBatch& batch,
   journal.clear();
 }
 
-// --- asynchronous channel --------------------------------------------------
+// --- the channel -------------------------------------------------------------
 
 void UpdateEngine::set_async(bool enabled) {
   if (enabled == async()) return;
@@ -363,133 +254,123 @@ void UpdateEngine::set_async(bool enabled) {
 }
 
 UpdateEngine::ChannelCursor UpdateEngine::begin_job(SimClock::Nanos submitted_ns,
-                                                    WriteOutcome* outcome) {
+                                                    WriteOutcome& outcome) {
   ChannelCursor cursor;
   cursor.now = std::max(submitted_ns, channel_cursor_ns_);
-  if (cursor.now == channel_cursor_ns_) {
+  cursor.coalesce = writer_ != nullptr;
+  if (cursor.coalesce && cursor.now == channel_cursor_ns_) {
     // Back-to-back on the channel: the predecessor's trailing batch can
     // still absorb a same-kind follow-up.
     cursor.last_label = channel_last_label_;
   }
   // (Idle gap: the previous batch's sync completed long ago, nothing to
   // coalesce with — last_label stays empty.)
-  cursor.charges = &outcome->charges;
+  cursor.charges = &outcome.charges;
   return cursor;
 }
 
-void UpdateEngine::end_job(const ChannelCursor& cursor) {
+void UpdateEngine::end_job(const ChannelCursor& cursor, WriteOutcome& outcome) {
   channel_cursor_ns_ = cursor.now;
   channel_last_label_ = cursor.last_label;
+  outcome.completion_ns = cursor.now;
 }
 
-UpdateEngine::PendingWrite UpdateEngine::submit_install(
-    const dp::WriteBatch& batch) {
-  assert(writer_ && "submit_install requires async mode");
+template <typename Run>
+UpdateEngine::PendingWrite UpdateEngine::submit_job(
+    std::shared_ptr<WriteOutcome> outcome, std::size_t ops, Run run) {
   PendingWrite pending;
-  pending.outcome = std::make_shared<WriteOutcome>();
+  pending.outcome = outcome;
   pending.submitted_ns = clock_.now_ns();
-  pending.ops = batch.ops.size();
-  pending.outcome->trace =
-      telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0;
-  pending.outcome->maintenance = maintenance_;
-
-  auto promise = std::make_shared<std::promise<void>>();
-  pending.done = promise->get_future();
-  std::shared_ptr<WriteOutcome> outcome = pending.outcome;
-  const dp::WriteBatch* batch_ptr = &batch;  // caller keeps it alive to finish
-  const SimClock::Nanos submitted = pending.submitted_ns;
-  writer_->enqueue([this, outcome, batch_ptr, submitted, promise] {
-    ChannelCursor cursor = begin_job(submitted, outcome.get());
-    outcome->applied = run_install(*batch_ptr, &cursor);
-    // Publish on the writer thread: it is the only table mutator in async
-    // mode, so the snapshot freeze cannot race a later queued job (the
-    // session thread in finish_install may run concurrently with one).
-    // Rollback (the !ok branch) publishes nothing — shard traffic never
-    // sees the faulted intermediate state.
-    if (outcome->applied->ok()) {
+  pending.ops = ops;
+  outcome->trace = telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0;
+  outcome->maintenance = maintenance_;
+  auto job = [this, outcome = std::move(outcome), submitted = pending.submitted_ns,
+              run] {
+    ChannelCursor cursor = begin_job(submitted, *outcome);
+    // Publish right after a clean run, inside the job: on the threaded
+    // channel the writer is the only table mutator, so the snapshot freeze
+    // cannot race a later queued job (finish_* may run concurrently with
+    // one). A fault-unwind publishes nothing — shard traffic never sees the
+    // faulted intermediate state.
+    if (run(*outcome, cursor)) {
       outcome->publish = dataplane_.note_table_update(outcome->trace);
     }
-    end_job(cursor);
-    outcome->completion_ns = cursor.now;
+    end_job(cursor, *outcome);
+  };
+  if (writer_ == nullptr) {
+    job();  // serial: the writer's job, run on the caller's thread
+    return pending;
+  }
+  auto promise = std::make_shared<std::promise<void>>();
+  pending.done = promise->get_future();
+  writer_->enqueue([job = std::move(job), promise = std::move(promise)] {
+    job();
     promise->set_value();
   });
   update_queue_gauge();
   return pending;
 }
 
-Result<UpdateEngine::AppliedEntries> UpdateEngine::finish_install(
-    PendingWrite& pending) {
-  pending.done.wait();  // happens-before: the outcome is ours now
-  WriteOutcome& outcome = *pending.outcome;
-  clock_.advance_to_ns(outcome.completion_ns);
-  emit_charges(outcome);
-  update_queue_gauge();
-  assert(outcome.applied.has_value());
-  // Table stamp + snapshot publication already happened on the writer
-  // thread, immediately after the run core (see submit_install).
-  observe_publish(outcome.publish);
-  return std::move(*outcome.applied);
+UpdateEngine::PendingWrite UpdateEngine::submit_install(
+    const dp::WriteBatch& batch) {
+  // The caller keeps `batch` alive until finish_install.
+  return submit_job(std::make_shared<WriteOutcome>(), batch.ops.size(),
+                    [this, &batch](WriteOutcome& outcome, ChannelCursor& cursor) {
+                      outcome.applied = run_install(batch, cursor);
+                      return outcome.applied->ok();
+                    });
 }
 
 UpdateEngine::PendingWrite UpdateEngine::submit_remove(
     InstalledProgram& program) {
-  assert(writer_ && "submit_remove requires async mode");
   if (telemetry_ != nullptr) {
     // The program is logically retired at submission: its first delete step
     // (filters) is ordered on the channel before anything submitted later.
     telemetry_->monitor.program_revoked(program.id);
   }
-  PendingWrite pending;
-  pending.outcome = std::make_shared<WriteOutcome>();
-  pending.outcome->batch = std::make_shared<dp::WriteBatch>();
+  auto outcome = std::make_shared<WriteOutcome>();
   rp::stage_remove(program.plan, program.filter_handles, program.rpb_handles,
-                   program.recirc_handles, program.placements,
-                   *pending.outcome->batch);
-  pending.submitted_ns = clock_.now_ns();
-  pending.ops = pending.outcome->batch->ops.size();
-  pending.outcome->trace =
-      telemetry_ != nullptr ? telemetry_->active_trace.trace_id : 0;
-  pending.outcome->maintenance = maintenance_;
-
-  auto promise = std::make_shared<std::promise<void>>();
-  pending.done = promise->get_future();
-  std::shared_ptr<WriteOutcome> outcome = pending.outcome;
-  InstalledProgram* prog = &program;  // caller guards it (busy set) to finish
-  const SimClock::Nanos submitted = pending.submitted_ns;
-  writer_->enqueue([this, outcome, prog, submitted, promise] {
-    ChannelCursor cursor = begin_job(submitted, outcome.get());
-    outcome->removed = run_remove(*outcome->batch, *prog, &cursor, outcome.get());
-    // Same single-mutator rule as submit_install: publish here, not in
-    // finish_remove, and never after a fault-unwind.
-    if (outcome->removed->ok()) {
-      outcome->publish = dataplane_.note_table_update(outcome->trace);
-    }
-    end_job(cursor);
-    outcome->completion_ns = cursor.now;
-    promise->set_value();
-  });
-  update_queue_gauge();
-  return pending;
+                   program.recirc_handles, program.placements, outcome->batch);
+  const std::size_t ops = outcome->batch.ops.size();
+  // The caller guards `program` (busy set) until finish_remove.
+  return submit_job(std::move(outcome), ops,
+                    [this, &program](WriteOutcome& outcome, ChannelCursor& cursor) {
+                      outcome.removed = run_remove(outcome.batch, program, cursor);
+                      return outcome.removed->ok();
+                    });
 }
 
-Status UpdateEngine::finish_remove(PendingWrite& pending,
-                                   InstalledProgram& program) {
-  pending.done.wait();
+UpdateEngine::WriteOutcome& UpdateEngine::settle(PendingWrite& pending) {
+  pending.wait();  // happens-before: the outcome is ours now
   WriteOutcome& outcome = *pending.outcome;
   clock_.advance_to_ns(outcome.completion_ns);
   emit_charges(outcome);
   update_queue_gauge();
+  // The table stamp + snapshot publication already happened inside the job.
+  observe_publish(outcome.publish);
+  return outcome;
+}
+
+Result<UpdateEngine::AppliedEntries> UpdateEngine::finish_install(
+    PendingWrite& pending) {
+  WriteOutcome& outcome = settle(pending);
+  assert(outcome.applied.has_value());
+  return std::move(*outcome.applied);
+}
+
+Status UpdateEngine::finish_remove(PendingWrite& pending,
+                                   InstalledProgram& program) {
+  WriteOutcome& outcome = settle(pending);
   assert(outcome.removed.has_value());
   if (outcome.removed->ok()) {
-    for (const auto& [rpb, block] : outcome.deferred_frees) {
-      resources_.unlock_memory(rpb, block);
+    for (const dp::WriteOp& op : outcome.batch.ops) {
+      if (op.kind == dp::WriteOp::Kind::ResetMemRange) {
+        resources_.free_memory(op.mem_rpb, MemBlock{op.mem_base, op.mem_size});
+      }
     }
-    // Table stamp + snapshot publication already happened on the writer
-    // thread, immediately after the run core (see submit_remove).
-    observe_publish(outcome.publish);
   } else {
-    // Fault-unwind restored the program with fresh handles on the writer
-    // thread; re-announce it so the monitor's installed set matches reality.
+    // The fault-unwind restored the program with fresh handles; re-announce
+    // it so the monitor's installed set matches reality.
     announce_deploy(program);
   }
   return *outcome.removed;
@@ -498,31 +379,32 @@ Status UpdateEngine::finish_remove(PendingWrite& pending,
 void UpdateEngine::emit_charges(const WriteOutcome& outcome) {
   if (telemetry_ == nullptr) return;
   auto& m = telemetry_->metrics;
+  auto& tracer = telemetry_->tracer;
   for (const ChannelCharge& charge : outcome.charges) {
+    const bool batch = charge.kind == ChannelCharge::Kind::Batch;
+    // Args only for a span the tracer keeps: at capacity record_span just
+    // counts the drop, and a saturated run must not pay for the strings.
     std::vector<std::pair<std::string, std::string>> args;
-    if (charge.kind == ChannelCharge::Kind::Batch) {
-      args.emplace_back("what", charge.label);
-      args.emplace_back("entries", std::to_string(charge.entries));
+    if (!tracer.full()) {
+      args.emplace_back(batch ? "what" : "vmem", charge.label);
+      args.emplace_back(batch ? "entries" : "buckets", std::to_string(charge.entries));
       if (hop_label_ >= 0) args.emplace_back("hop", std::to_string(hop_label_));
       if (charge.coalesced) args.emplace_back("coalesced", "1");
-      telemetry_->tracer.record_span("bfrt.batch", "bfrt", charge.start_ns,
-                                     charge.end_ns, outcome.trace,
-                                     std::move(args));
-      m.counter("ctrl.bfrt.batches").inc();
-      m.counter("ctrl.bfrt.entry_writes").inc(charge.entries);
-      if (outcome.maintenance) m.counter("ctrl.bfrt.maintenance_batches").inc();
-      const auto bounds = obs::Histogram::count_bounds();
-      m.histogram("ctrl.bfrt.batch_entries", bounds)
-          .observe(static_cast<double>(charge.entries));
-      if (charge.coalesced) m.counter("ctrl.bfrt.coalesced_batches").inc();
-    } else {
-      args.emplace_back("vmem", charge.label);
-      args.emplace_back("buckets", std::to_string(charge.entries));
-      telemetry_->tracer.record_span("bfrt.mem_reset", "bfrt", charge.start_ns,
-                                     charge.end_ns, outcome.trace,
-                                     std::move(args));
-      m.counter("ctrl.bfrt.mem_resets").inc();
     }
+    tracer.record_span(batch ? "bfrt.batch" : "bfrt.mem_reset", "bfrt",
+                       charge.start_ns, charge.end_ns, outcome.trace,
+                       std::move(args));
+    if (!batch) {
+      m.counter("ctrl.bfrt.mem_resets").inc();
+      continue;
+    }
+    m.counter("ctrl.bfrt.batches").inc();
+    m.counter("ctrl.bfrt.entry_writes").inc(charge.entries);
+    if (outcome.maintenance) m.counter("ctrl.bfrt.maintenance_batches").inc();
+    const auto bounds = obs::Histogram::count_bounds();
+    m.histogram("ctrl.bfrt.batch_entries", bounds)
+        .observe(static_cast<double>(charge.entries));
+    if (charge.coalesced) m.counter("ctrl.bfrt.coalesced_batches").inc();
   }
 }
 

@@ -11,30 +11,32 @@
 //
 // Ordering guarantees (no incorrectly processed packet is ever exposed):
 //   add:    recirculation entries -> RPB entries -> init filters last
-//   delete: init filters first -> RPB/recirculation entries ->
-//           lock + reset + unlock memory
+//   delete: init filters first -> RPB/recirculation entries -> reset
+//           memory (the blocks stay reserved until finish_remove frees them)
 // Because the program id is assigned only by the init filter, a program is
 // invisible until its last add step and atomically disabled by the first
 // delete step. The op-log builders (rp::stage_install / rp::stage_remove)
 // encode this order; the executor never reorders.
 //
-// Asynchronous channel (docs/ARCHITECTURE.md "Async control channel"):
-// set_async(true) attaches a per-engine writer thread (AsyncWriter) that
-// drains submitted op-logs through the simulated channel off the caller's
-// thread. submit_install / submit_remove capture the virtual submission
-// time under the session lock and enqueue the job; the writer applies the
-// dataplane ops and *records* the channel charges against its own channel
-// cursor (it never touches the clock or the telemetry bundle); finish_*
-// waits for completion, advances the clock to the channel's completion
-// time, and replays the recorded charges as closed "bfrt.*" spans carrying
-// the submit-time trace id. execute_install / remove auto-route through
-// the writer in async mode, so single-call flows (and the chain unwind
-// paths) behave identically — they just block inline. Adjacent same-kind
-// batches with no idle channel gap coalesce into one multi-batch
-// submission: the follow-up batch skips the per-batch channel overhead
-// (ctrl.bfrt.coalesced_batches counts them). Faults reported by the writer
-// unwind on the writer thread exactly like the serial path, so a fault at
-// any write index still restores byte-identical state.
+// One channel, two places to run it (docs/ARCHITECTURE.md "Async control
+// channel"). Every write is one *job*: submit_install / submit_remove capture
+// the virtual submission time and trace id under the session lock, then the
+// job positions a channel cursor (begin_job), applies the op-log while
+// *recording* each bfrt charge against the cursor, publishes the tables
+// after a clean run and persists the cursor (end_job). With no writer
+// attached (serial mode) the job runs inline on the caller's thread; after
+// set_async(true) it runs on a per-engine writer thread (AsyncWriter) that
+// never touches the clock, the telemetry bundle or the resource manager.
+// finish_* is the only place that advances the clock to the channel's
+// completion time, replays the recorded charges as closed "bfrt.*" spans
+// carrying the submit-time trace id, frees the memory blocks a remove reset
+// and re-announces a program a faulted remove restored. execute_install /
+// remove are submit + finish. Only the threaded channel coalesces: a batch
+// directly behind a same-kind batch (no idle channel gap) rides its
+// predecessor's submission and skips the per-batch overhead
+// (ctrl.bfrt.coalesced_batches counts them). A fault at any write index
+// unwinds the journal inside the job, in both modes, so it always restores
+// byte-identical state.
 #pragma once
 
 #include <cstdint>
@@ -115,8 +117,8 @@ class UpdateEngine {
     std::vector<rmt::EntryHandle> recirc_handles;
   };
 
-  /// One charge the writer pushed through the virtual channel, in channel
-  /// order. Replayed into the tracer/metrics at finish time.
+  /// One charge a job pushed through the virtual channel, in channel order.
+  /// Replayed into the tracer/metrics at finish time.
   struct ChannelCharge {
     enum class Kind : std::uint8_t { Batch, MemReset };
     Kind kind = Kind::Batch;
@@ -127,35 +129,38 @@ class UpdateEngine {
     bool coalesced = false;   ///< batch rode a same-kind predecessor's sync
   };
 
-  /// Everything an async write job produces. Filled on the writer thread,
-  /// read by the caller after the completion future resolves (the future
-  /// wait is the happens-before edge).
+  /// Everything a write job produces. Filled by the job (on the writer
+  /// thread in async mode), read by finish_* after PendingWrite::wait (the
+  /// future wait is the happens-before edge).
   struct WriteOutcome {
     std::optional<Result<AppliedEntries>> applied;  ///< install jobs
     std::optional<Status> removed;                  ///< remove jobs
     std::vector<ChannelCharge> charges;
-    /// Cost of the snapshot publish the writer ran after a successful job
-    /// (sharded mode only); observed into the registry at finish time.
+    /// Cost of the snapshot publish the job ran after a clean run (sharded
+    /// mode only); observed into the registry at finish time.
     std::optional<dp::PublishStats> publish;
-    /// Memory blocks a successful remove reset; freed by finish_remove
-    /// (the writer never touches the resource manager).
-    std::vector<std::pair<int, MemBlock>> deferred_frees;
     SimClock::Nanos completion_ns = 0;
     std::uint64_t trace = 0;  ///< trace id active at submission
     bool maintenance = false;  ///< submitted while in maintenance mode
-    /// Remove jobs own their staged batch (install batches are owned by the
-    /// transaction, which outlives the finish).
-    std::shared_ptr<dp::WriteBatch> batch;
+    /// Remove jobs own their staged batch; finish_remove frees the blocks
+    /// of its memory resets (install batches are owned by the transaction,
+    /// which outlives the finish).
+    dp::WriteBatch batch;
   };
 
-  /// Handle to an in-flight submitted write. Obtain with submit_*, settle
-  /// with the matching finish_* (every submit MUST be finished — the job
-  /// references caller-owned state).
+  /// Handle to a submitted write. Obtain with submit_*, settle with the
+  /// matching finish_* (every submit MUST be finished — the job references
+  /// caller-owned state).
   struct PendingWrite {
     std::shared_ptr<WriteOutcome> outcome;
-    std::future<void> done;
+    std::future<void> done;  ///< invalid when the job already ran inline
     SimClock::Nanos submitted_ns = 0;
     std::size_t ops = 0;
+
+    /// Block until the job has run. Lock-free: touches no engine state.
+    void wait() {
+      if (done.valid()) done.wait();
+    }
   };
 
   /// Execute a staged install op-log (WriteMemRange carry-over ops plus
@@ -163,33 +168,38 @@ class UpdateEngine {
   /// kind are charged as one bfrt batch. On any failure — injected channel
   /// fault or a rejected write — the rollback journal unwinds every applied
   /// op and the error (ChannelError for faults) is returned; the dataplane
-  /// is then byte-identical to its pre-call state. In async mode this
-  /// routes through the writer and blocks inline (submit + finish).
-  Result<AppliedEntries> execute_install(const dp::WriteBatch& batch);
+  /// is then byte-identical to its pre-call state. Submit + finish.
+  Result<AppliedEntries> execute_install(const dp::WriteBatch& batch) {
+    PendingWrite pending = submit_install(batch);
+    return finish_install(pending);
+  }
 
   /// Consistently remove a program and release its memory. On success the
   /// program's handle vectors and placements are cleared (entry
   /// reservations stay the caller's to release). On a mid-removal channel
   /// fault the journal restores everything already deleted — including
-  /// re-reserving reset memory blocks and writing their contents back — and
-  /// `program` is left fully installed with its fresh handles. Async mode
-  /// routes through the writer and blocks inline.
-  Status remove(InstalledProgram& program);
+  /// writing reset memory contents back — and `program` is left fully
+  /// installed with its fresh handles. Submit + finish.
+  Status remove(InstalledProgram& program) {
+    PendingWrite pending = submit_remove(program);
+    return finish_remove(pending, program);
+  }
 
-  // --- asynchronous channel ----------------------------------------------
+  // --- the channel: submit, then settle -----------------------------------
 
   /// Attach (true) or drain-and-detach (false) the writer thread. Call only
-  /// under the session lock with no write in flight. Async mode is opt-in;
-  /// the default (serial) behavior is unchanged.
+  /// under the session lock with no write in flight. Detached (the
+  /// default), every job runs inline on the submitting thread.
   void set_async(bool enabled);
   [[nodiscard]] bool async() const noexcept { return writer_ != nullptr; }
 
-  /// Submit an install op-log to the writer. Caller must hold the session
-  /// lock (the submission time is read off the virtual clock) and must keep
-  /// `batch` alive until finish_install returns. Returns immediately; the
-  /// channel latency is charged when finish_install resolves the write.
+  /// Submit an install op-log job. Caller must hold the session lock (the
+  /// submission time is read off the virtual clock) and must keep `batch`
+  /// alive until finish_install returns. Async, returns at once; serial,
+  /// returns after running the job inline. Either way the channel latency
+  /// is charged only when finish_install settles the write.
   [[nodiscard]] PendingWrite submit_install(const dp::WriteBatch& batch);
-  /// Settle a submitted install: wait for the writer, advance the clock to
+  /// Settle a submitted install: wait for the job, advance the clock to
   /// the channel completion time, replay the recorded charges into the
   /// telemetry bundle and return the applied handles (or the fault, with
   /// the dataplane already unwound). Caller must hold the session lock.
@@ -198,14 +208,14 @@ class UpdateEngine {
   /// Submit a consistent remove. Stages the op-log from the program's
   /// current handles under the session lock and announces the revoke (the
   /// program is logically retired at submission — its first delete step is
-  /// ordered before any later submission on this channel). The writer
-  /// mutates `program`'s handles (cleared on success, patched fresh on a
+  /// ordered before any later submission on this channel). The job mutates
+  /// `program`'s handles (cleared on success, patched fresh on a
   /// fault-unwind); callers must not touch the program until finish_remove.
   [[nodiscard]] PendingWrite submit_remove(InstalledProgram& program);
   /// Settle a submitted remove: on success frees the reset memory blocks
-  /// (deferred from the writer) — entry reservations stay the caller's to
-  /// release; on a fault re-announces the restored program. Caller must
-  /// hold the session lock.
+  /// (the job never touches the resource manager) — entry reservations stay
+  /// the caller's to release; on a fault re-announces the restored program.
+  /// Caller must hold the session lock.
   Status finish_remove(PendingWrite& pending, InstalledProgram& program);
 
   /// Block until the writer has drained every submitted job (no-op in
@@ -224,7 +234,7 @@ class UpdateEngine {
 
   [[nodiscard]] const BfrtCostModel& cost_model() const noexcept { return cost_; }
 
-  /// Telemetry sink for per-batch write spans ("bfrt.batch") and the
+  /// Telemetry sink for the replayed write spans ("bfrt.*") and the
   /// "ctrl.bfrt.*" write counters; null disables (set by the controller).
   void set_telemetry(obs::Telemetry* telemetry) noexcept { telemetry_ = telemetry; }
 
@@ -236,9 +246,9 @@ class UpdateEngine {
   [[nodiscard]] bool maintenance() const noexcept { return maintenance_; }
 
   /// Chain-hop label for this engine's write spans: a chain Controller tags
-  /// each hop's engine with its index so "bfrt.batch" spans (and trace
-  /// reports built from them) say which switch the write landed on. -1 (the
-  /// default, single-switch) omits the tag.
+  /// each hop's engine with its index so "bfrt.batch" and "bfrt.mem_reset"
+  /// spans (and trace reports built from them) say which switch the write
+  /// landed on. -1 (the default, single-switch) omits the tag.
   void set_hop_label(int hop) noexcept { hop_label_ = hop; }
   [[nodiscard]] int hop_label() const noexcept { return hop_label_; }
 
@@ -247,8 +257,8 @@ class UpdateEngine {
   /// and disarms (rollback writes are never faulted). -1 disables. Each
   /// engine drives one switch's channel, so a chain harness arms exactly
   /// the hop it wants to fault (per-hop injection; Controller exposes
-  /// `updates(hop)` for this). In async mode the fault fires from the
-  /// writer thread, at the same write index.
+  /// `updates(hop)` for this). The fault fires inside the job (on the
+  /// writer thread in async mode), at the same write index in both modes.
   void set_fault_after_writes(int writes) { fault_after_ = writes; }
   /// True while an injected fault is armed and has not fired yet. Lets
   /// fault-matrix sweeps distinguish "op succeeded past the batch end"
@@ -268,8 +278,8 @@ class UpdateEngine {
   /// operation, i.e. at every intermediate data-plane state of an update.
   /// Used by the consistency property tests to inject packets mid-update
   /// and assert no incorrectly processed packet is ever exposed (§4.3).
-  /// Serial mode only (in async mode the hook would run on the writer
-  /// thread).
+  /// Runs inside the job: on the caller's thread in serial mode, on the
+  /// writer thread in async mode.
   void set_step_observer(std::function<void()> observer) {
     step_observer_ = std::move(observer);
   }
@@ -282,53 +292,56 @@ class UpdateEngine {
     dp::WriteOp inverse;
   };
 
-  /// The writer thread's position on the virtual channel. `now` advances as
-  /// charges are recorded; `last_label` is the label of the last batch
-  /// pushed with no idle gap after it (the coalescing predecessor). Owned
-  /// by the writer thread while a job runs; persisted into the engine's
-  /// channel_cursor state between jobs.
+  /// A job's position on the virtual channel. `now` advances as charges
+  /// are recorded; `last_label` is the label of the last batch pushed with
+  /// no idle gap after it (the coalescing predecessor, consulted only when
+  /// `coalesce` is set — the threaded channel). Owned by the job while it
+  /// runs; persisted into the engine's channel state between jobs.
   struct ChannelCursor {
     SimClock::Nanos now = 0;
     std::string last_label;
+    bool coalesce = false;
     std::vector<ChannelCharge>* charges = nullptr;
   };
 
-  /// Charge one batched bfrt write of `count` entries. Serial (null
-  /// cursor): advance the clock, open a live "bfrt.batch" span, bump the
-  /// write counters. Async (writer thread): record a ChannelCharge against
-  /// the cursor, coalescing with a same-label predecessor (skips the
-  /// per-batch overhead).
-  void charge_batch(std::size_t count, const char* what, ChannelCursor* cursor);
-  /// Apply one memory-reset op. Serial: lock, zero, charge the block-reset
-  /// model, unlock (returns the block to the free list). Async: zero and
-  /// record the charge; the free is deferred to finish_remove via
-  /// `outcome->deferred_frees`.
-  dp::WriteOp apply_mem_reset(const dp::WriteOp& op, ChannelCursor* cursor,
-                              WriteOutcome* outcome);
+  /// Record one batched bfrt write of `count` entries against the cursor,
+  /// coalescing with a same-label predecessor (skips the per-batch
+  /// overhead).
+  void charge_batch(std::size_t count, const char* what, ChannelCursor& cursor);
+  /// Zero one memory range and record the block-reset charge. The block
+  /// stays reserved: finish_remove frees it after a clean run.
+  dp::WriteOp apply_mem_reset(const dp::WriteOp& op, ChannelCursor& cursor);
   /// Unwind a journal in reverse order (uncharged — rollback writes are
-  /// free, matching the pre-refactor unwinding).
+  /// free).
   void unwind(std::vector<JournalEntry>& journal);
-  /// Unwind a failed removal: re-reserve reset blocks, restore their bytes,
-  /// re-add deleted entries and patch the fresh handles back into `program`.
-  /// `deferred_frees` true (async): the reset blocks were never freed (the
-  /// free is deferred to finish), so reclaiming them is skipped.
+  /// Unwind a failed removal: restore reset bytes (the blocks were never
+  /// freed), re-add deleted entries and patch the fresh handles back into
+  /// `program`.
   void rollback_remove(const dp::WriteBatch& batch,
                        std::vector<JournalEntry>& journal,
-                       InstalledProgram& program, bool deferred_frees);
+                       InstalledProgram& program);
 
-  /// Shared forward-path cores. Null cursor = serial (live telemetry, clock
-  /// charges); non-null = writer thread (charge recording only).
+  /// The job bodies: apply an op-log, journal every inverse, record the
+  /// channel charges against `cursor`.
   Result<AppliedEntries> run_install(const dp::WriteBatch& batch,
-                                     ChannelCursor* cursor);
+                                     ChannelCursor& cursor);
   Status run_remove(const dp::WriteBatch& batch, InstalledProgram& program,
-                    ChannelCursor* cursor, WriteOutcome* outcome);
+                    ChannelCursor& cursor);
 
-  /// Writer-thread bracket around one job: position the cursor at
-  /// max(submission, channel backlog), dropping the coalescing label across
-  /// idle gaps; persist the cursor when the job ends.
+  /// Build one job around `run` (which fills `outcome` and returns true on
+  /// a clean run) and run it: inline without a writer, else on the writer.
+  template <typename Run>
+  [[nodiscard]] PendingWrite submit_job(std::shared_ptr<WriteOutcome> outcome,
+                                        std::size_t ops, Run run);
+  /// Bracket around one job: position the cursor at max(submission,
+  /// channel backlog), dropping the coalescing label across idle gaps;
+  /// persist the cursor and the completion time when the job ends.
   [[nodiscard]] ChannelCursor begin_job(SimClock::Nanos submitted_ns,
-                                        WriteOutcome* outcome);
-  void end_job(const ChannelCursor& cursor);
+                                        WriteOutcome& outcome);
+  void end_job(const ChannelCursor& cursor, WriteOutcome& outcome);
+  /// Shared head of finish_*: wait for the job, advance the clock to its
+  /// completion, replay its charges and observe its publish.
+  WriteOutcome& settle(PendingWrite& pending);
 
   /// Replay a completed job's charges into the tracer (closed spans at the
   /// recorded virtual times, stamped with the submit-time trace id) and the
@@ -370,9 +383,9 @@ class UpdateEngine {
   SimClock& clock_;
   BfrtCostModel cost_;
 
-  // Channel-cursor state between async jobs: virtual time the channel
-  // drains at, and the coalescing label. Touched only on the writer thread
-  // (begin_job/end_job); the jobs' FIFO order makes it deterministic.
+  // Channel-cursor state between jobs: virtual time the channel drains at,
+  // and the coalescing label. Touched only by jobs (begin_job/end_job),
+  // whose FIFO order makes it deterministic.
   SimClock::Nanos channel_cursor_ns_ = 0;
   std::string channel_last_label_;
   std::unique_ptr<AsyncWriter> writer_;  ///< non-null = async mode

@@ -48,7 +48,7 @@ void SpanTracer::Scope::end() {
 SpanTracer::SpanTracer() = default;
 
 SpanTracer::Scope SpanTracer::span(std::string_view name, std::string_view cat) {
-  if (spans_.size() >= max_spans_) {
+  if (full()) {
     ++dropped_;
     return Scope{};
   }
@@ -79,7 +79,7 @@ void SpanTracer::record_span(std::string_view name, std::string_view cat,
                              SimClock::Nanos start_vns, SimClock::Nanos end_vns,
                              std::uint64_t trace,
                              std::vector<std::pair<std::string, std::string>> args) {
-  if (spans_.size() >= max_spans_) {
+  if (full()) {
     ++dropped_;
     return;
   }

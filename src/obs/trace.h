@@ -114,6 +114,8 @@ class SpanTracer {
 
   [[nodiscard]] const std::vector<SpanRecord>& spans() const noexcept { return spans_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  /// True when the capacity cap is reached: the next span is dropped.
+  [[nodiscard]] bool full() const noexcept { return spans_.size() >= max_spans_; }
 
   /// Children of span `index`, in recording order.
   [[nodiscard]] std::vector<std::size_t> children_of(std::size_t index) const;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/program_library.h"
@@ -41,6 +42,37 @@ std::string hh_source() {
   config.instance_name = "hh";
   config.mem_buckets = 64;
   return apps::make_program_source("hh", config);
+}
+
+std::string lb_source() {
+  apps::ProgramConfig config;
+  config.instance_name = "lb";
+  return apps::make_program_source("lb", config);
+}
+
+/// One bfrt.* span as both channel modes must record it: name, args minus
+/// the async-only "coalesced" mark, virtual window and trace id.
+struct BfrtSpan {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> args;
+  SimClock::Nanos start_vns = 0;
+  SimClock::Nanos end_vns = 0;
+  std::uint64_t trace = 0;
+
+  friend bool operator==(const BfrtSpan&, const BfrtSpan&) = default;
+};
+
+std::vector<BfrtSpan> bfrt_spans(const obs::SpanTracer& tracer) {
+  std::vector<BfrtSpan> out;
+  for (const auto& span : tracer.spans()) {
+    if (span.cat != "bfrt") continue;
+    BfrtSpan record{span.name, {}, span.start_vns, span.end_vns, span.trace};
+    for (const auto& arg : span.args) {
+      if (arg.first != "coalesced") record.args.push_back(arg);
+    }
+    out.push_back(std::move(record));
+  }
+  return out;
 }
 
 struct Bed {
@@ -101,13 +133,46 @@ TEST(AsyncChannel, CleanRunsMatchSerialVirtualTimeAndState) {
   EXPECT_EQ(serial.clock.now_ns(), async.clock.now_ns());
   EXPECT_TRUE(plane_state(serial.dataplane) == plane_state(async.dataplane));
 
-  // Revoke (memory reset + deferred frees on the async side) keeps parity.
+  // Revoke (memory reset + deferred frees) keeps parity.
   ASSERT_TRUE(serial.controller.revoke(s2.value().id).ok());
   ASSERT_TRUE(async.controller.revoke(a2.value().id).ok());
   EXPECT_EQ(serial.clock.now_ns(), async.clock.now_ns());
   EXPECT_TRUE(plane_state(serial.dataplane) == plane_state(async.dataplane));
   EXPECT_EQ(serial.controller.resources().total_memory_utilization(),
             async.controller.resources().total_memory_utilization());
+
+  // Link, relink (carry-over writes) and revoke both: the two modes record
+  // the same bfrt.* span stream and the same write counters.
+  auto s3 = serial.controller.link_single(lb_source());
+  auto a3 = async.controller.link_single(lb_source());
+  ASSERT_TRUE(s3.ok()) << s3.error().str();
+  ASSERT_TRUE(a3.ok()) << a3.error().str();
+  auto s4 = serial.controller.relink(s1.value().id, cache_source());
+  auto a4 = async.controller.relink(a1.value().id, cache_source());
+  ASSERT_TRUE(s4.ok()) << s4.error().str();
+  ASSERT_TRUE(a4.ok()) << a4.error().str();
+  ASSERT_TRUE(serial.controller.revoke(s4.value().id).ok());
+  ASSERT_TRUE(async.controller.revoke(a4.value().id).ok());
+  ASSERT_TRUE(serial.controller.revoke(s3.value().id).ok());
+  ASSERT_TRUE(async.controller.revoke(a3.value().id).ok());
+  EXPECT_EQ(serial.clock.now_ns(), async.clock.now_ns());
+  EXPECT_TRUE(plane_state(serial.dataplane) == plane_state(async.dataplane));
+
+  const auto serial_spans = bfrt_spans(serial.telemetry.tracer);
+  const auto async_spans = bfrt_spans(async.telemetry.tracer);
+  EXPECT_GT(serial_spans.size(), 0u);
+  ASSERT_EQ(serial_spans.size(), async_spans.size());
+  for (std::size_t i = 0; i < serial_spans.size(); ++i) {
+    EXPECT_TRUE(serial_spans[i] == async_spans[i])
+        << "span " << i << ": " << serial_spans[i].name << " vs "
+        << async_spans[i].name;
+  }
+  for (const char* name :
+       {"ctrl.bfrt.batches", "ctrl.bfrt.entry_writes", "ctrl.bfrt.mem_resets"}) {
+    EXPECT_EQ(serial.telemetry.metrics.counter(name).value(),
+              async.telemetry.metrics.counter(name).value())
+        << name;
+  }
 }
 
 TEST(AsyncChannel, CoalescesAdjacentSameKindBatchesOnTheChannel) {

@@ -8,10 +8,13 @@
 // attempt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/program_library.h"
@@ -301,6 +304,34 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_async" : "_serial");
     });
 
+/// Value of span arg `key`, or nullptr.
+const std::string* span_arg(const obs::SpanRecord& span, const std::string& key) {
+  for (const auto& [k, v] : span.args) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+/// Virtual window (first start, last end) of each hop's "bfrt.batch" spans.
+std::map<int, std::pair<SimClock::Nanos, SimClock::Nanos>> hop_windows(
+    const obs::SpanTracer& tracer) {
+  std::map<int, std::pair<SimClock::Nanos, SimClock::Nanos>> windows;
+  for (const auto& span : tracer.spans()) {
+    if (span.name != "bfrt.batch") continue;
+    const std::string* hop = span_arg(span, "hop");
+    if (hop == nullptr) {
+      ADD_FAILURE() << "bfrt.batch without a hop arg";
+      continue;
+    }
+    auto [it, fresh] = windows.try_emplace(std::stoi(*hop), span.start_vns, span.end_vns);
+    if (!fresh) {
+      it->second.first = std::min(it->second.first, span.start_vns);
+      it->second.second = std::max(it->second.second, span.end_vns);
+    }
+  }
+  return windows;
+}
+
 TEST(ChainTxn, PipelinedCommitOverlapsHopChannels) {
   // Same deploy, same chain, two channel modes. The pipelined commit must
   // (a) leave every hop byte-identical to the serial commit and (b) cut the
@@ -315,6 +346,24 @@ TEST(ChainTxn, PipelinedCommitOverlapsHopChannels) {
   ASSERT_TRUE(serial_link.ok()) << serial_link.error().str();
   auto pipelined_link = pipelined.controller.link(cache_source());
   ASSERT_TRUE(pipelined_link.ok()) << pipelined_link.error().str();
+
+  // The bfrt spans tile the channels: serially each hop's writes start where
+  // the previous hop's end; pipelined, every hop starts at the submission
+  // instant (the serial hop 0 start).
+  const auto serial_windows = hop_windows(serial.telemetry.tracer);
+  const auto pipelined_windows = hop_windows(pipelined.telemetry.tracer);
+  ASSERT_EQ(serial_windows.size(), 4u);
+  ASSERT_EQ(pipelined_windows.size(), 4u);
+  for (int h = 1; h < 4; ++h) {
+    EXPECT_EQ(serial_windows.at(h).first, serial_windows.at(h - 1).second)
+        << "serial hop " << h << " does not start where hop " << h - 1 << " ends";
+  }
+  for (int h = 0; h < 4; ++h) {
+    EXPECT_EQ(pipelined_windows.at(h).first, serial_windows.at(0).first)
+        << "pipelined hop " << h << " does not start at submission";
+    EXPECT_EQ(pipelined_windows.at(h).second - pipelined_windows.at(h).first,
+              serial_windows.at(h).second - serial_windows.at(h).first);
+  }
 
   // Byte-identical outcome: pipelining reorders channel traffic across
   // hops, never the per-hop write sequence (§4.3 ordering is per-hop).
@@ -342,6 +391,22 @@ TEST(ChainTxn, PipelinedCommitOverlapsHopChannels) {
   EXPECT_LT(pipelined_revoke, serial_revoke / 2.0)
       << "pipelined=" << pipelined_revoke << " serial=" << serial_revoke;
   EXPECT_TRUE(capture(serial) == capture(pipelined));
+
+  // Every memory reset of the chain revoke names the switch it landed on,
+  // in both modes, one hop label per reset on every hop.
+  for (ChainBed* bed : {&serial, &pipelined}) {
+    std::map<int, int> resets_per_hop;
+    for (const auto& span : bed->telemetry.tracer.spans()) {
+      if (span.name != "bfrt.mem_reset") continue;
+      const std::string* hop = span_arg(span, "hop");
+      ASSERT_NE(hop, nullptr) << "bfrt.mem_reset without a hop arg";
+      ++resets_per_hop[std::stoi(*hop)];
+    }
+    ASSERT_EQ(resets_per_hop.size(), 4u);
+    for (const auto& [hop, resets] : resets_per_hop) {
+      EXPECT_EQ(resets, resets_per_hop.begin()->second) << "hop " << hop;
+    }
+  }
 }
 
 TEST(ChainTxn, PipelinedUpdateDelayIsFlatInChainLength) {

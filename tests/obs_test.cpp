@@ -265,6 +265,11 @@ TEST(Trace, CapacityCapCountsDrops) {
   c.end();
   EXPECT_EQ(tracer.spans().size(), 2u);
   EXPECT_EQ(tracer.dropped(), 1u);
+  // A retrospective record at capacity is dropped and counted the same way.
+  EXPECT_TRUE(tracer.full());
+  tracer.record_span("d", "bfrt", 0, 10, 1, {{"k", "v"}});
+  EXPECT_EQ(tracer.spans().size(), 2u);
+  EXPECT_EQ(tracer.dropped(), 2u);
 }
 
 TEST(Trace, ChromeExportUsesIntegerMicrosOfVirtualTime) {
