@@ -77,6 +77,24 @@ void link_many(Bed& bed, int count) {
   }
 }
 
+/// Link `count` catalog programs whose filters match no packet of this
+/// file: UDP ports from 20000 and IPv4 prefixes 10.100/16 to 10.239/16.
+/// (link_many's prefix filters cycle through 10.0/16, which holds
+/// cache_packet()'s addresses.)
+void link_off_trace(Bed& bed, int count) {
+  const char* const port_keys[] = {"cache", "nc", "dqacc", "calculator"};
+  const char* const prefix_keys[] = {"lb", "hh", "cms", "bf", "sumax", "hll"};
+  for (int i = 0; i < count; ++i) {
+    const bool on_port = i % 2 == 0;
+    apps::ProgramConfig config;
+    config.instance_name = "fill" + std::to_string(i);
+    config.filter_value = on_port ? 20000u + static_cast<Word>(i)
+                                  : (10u << 24) | ((100u + static_cast<Word>(i % 140)) << 16);
+    (void)bed.controller.link_single(apps::make_program_source(
+        on_port ? port_keys[i / 2 % 4] : prefix_keys[i / 2 % 6], config));
+  }
+}
+
 constexpr std::size_t kBatch = 1024;
 
 std::vector<rmt::Packet> batch_of(const rmt::Packet& pkt) {
@@ -251,15 +269,20 @@ double measure_pps(F&& fn, std::size_t pkts_per_call,
 std::vector<RateSample> run_rate_suite(std::chrono::milliseconds budget) {
   struct Shape {
     const char* name;
-    const char* program;  // nullptr = no program linked
-    int extra_programs;
+    const char* program;     // nullptr = no program linked
+    int extra_programs;      // link_many programs linked after it
+    int off_trace_programs;  // link_off_trace programs linked after it
     rmt::Packet pkt;
   };
+  // cache_hit_200_filters is cache_hit behind 200 newer filters that the
+  // packet must be told apart from: its claim costs what a packet of the
+  // oldest program costs on a full switch.
   const Shape kShapes[] = {
-      {"unclaimed", nullptr, 0, hh_packet()},
-      {"cache_hit", "cache", 0, cache_packet()},
-      {"hh_recirc", "hh", 0, hh_packet()},
-      {"many_programs_100", nullptr, 100, hh_packet()},
+      {"unclaimed", nullptr, 0, 0, hh_packet()},
+      {"cache_hit", "cache", 0, 0, cache_packet()},
+      {"hh_recirc", "hh", 0, 0, hh_packet()},
+      {"many_programs_100", nullptr, 100, 0, hh_packet()},
+      {"cache_hit_200_filters", "cache", 0, 200, cache_packet()},
   };
 
   std::vector<RateSample> samples;
@@ -267,6 +290,7 @@ std::vector<RateSample> run_rate_suite(std::chrono::milliseconds budget) {
     Bed bed;
     if (shape.program != nullptr) link_program(bed, shape.program);
     if (shape.extra_programs > 0) link_many(bed, shape.extra_programs);
+    if (shape.off_trace_programs > 0) link_off_trace(bed, shape.off_trace_programs);
     const auto pkts = batch_of(shape.pkt);
 
     RateSample sample;
@@ -396,10 +420,10 @@ std::vector<int> parse_shard_counts(const std::string& csv) {
 
 void print_rate_suite(const std::vector<RateSample>& samples) {
   bench::heading("Packet-rate baseline (pkts/sec)");
-  std::printf("%-20s | %14s | %14s\n", "shape", "batch fastpath", "inject+monitor");
-  bench::rule(56);
+  std::printf("%-22s | %14s | %14s\n", "shape", "batch fastpath", "inject+monitor");
+  bench::rule(58);
   for (const auto& s : samples) {
-    std::printf("%-20s | %14.0f | %14.0f\n", s.name.c_str(), s.batch_pps,
+    std::printf("%-22s | %14.0f | %14.0f\n", s.name.c_str(), s.batch_pps,
                 s.inject_pps);
   }
 }

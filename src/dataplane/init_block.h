@@ -36,7 +36,10 @@ enum FilterKeyField : int {
 inline constexpr int kFilterKeyWidth = 7;
 
 /// Filtering-table type: key width fixed at compile time so entries keep
-/// their keys inline (the filter scan is the hot path of unclaimed traffic).
+/// their keys inline. A filter that does not match the ingress port exactly
+/// (no catalog filter does) sits in the table's wildcard pool, indexed by
+/// its first masked field: a claim binary-searches one run per (field,
+/// mask) shape in use instead of scanning every installed filter.
 using FilterTable = rmt::TernaryTable<ProgramId, kFilterKeyWidth>;
 /// The published form of the filtering tables, one per parsing path, read
 /// by shard pipes (see dp::TableSnapshot).

@@ -1,11 +1,18 @@
 // Ternary match-action table. All P4runpro tables use ternary match with
 // (value, mask) keys and priorities (paper §7 "Entry Expansion"), backed by
-// TCAM on the ASIC. The simulator models capacity and accelerates lookup
-// with compiled buckets: entries are grouped by exact-match first key (the
-// RPB tables key entries on the program id, which is always exact), stored
-// with fixed-width inline key storage (no per-entry heap hop), and kept
-// priority-sorted at insert time so a lookup can stop at the first match,
-// mimicking the O(1) TCAM lookup without a full TCAM model.
+// TCAM on the ASIC, where one lookup costs the same however many entries a
+// table holds. The simulator models capacity and indexes the entries so a
+// lookup reads few of them:
+//  - an entry with an exact first key (every RPB and recirculation entry
+//    keys exactly on the program id) sits in that key's bucket;
+//  - every other entry (every filter entry, which wildcards the ingress
+//    port) sits in the wildcard pool, grouped into one run per lead: the
+//    entry's first masked key component, as a (column, mask) pair. A run is
+//    sorted by masked lead value, so a lookup binary-searches one short
+//    range per lead instead of scanning the pool.
+// Entries keep fixed-width inline key storage (no per-entry heap hop) and
+// are priority-sorted within a bucket or a lead value at insert time, so a
+// lookup stops at the first match.
 //
 // Concurrency: a TernaryTable is NOT thread-safe for mutation; its lookups
 // write nothing. Concurrent readers (the shard pipes) read a
@@ -20,6 +27,7 @@
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -81,60 +89,158 @@ struct TernaryEntry {
   int priority = 0;
   EntryHandle handle = 0;
   Action action{};
+
+  [[nodiscard]] bool matches(std::span<const Word> fields, int key_width) const noexcept {
+    for (int i = 0; i < key_width; ++i) {
+      if (!keys[static_cast<std::size_t>(i)].matches(fields[static_cast<std::size_t>(i)])) {
+        return false;
+      }
+    }
+    return true;
+  }
 };
 
-/// Entries sharing one exact first key (or the wildcard-first-key pool),
-/// sorted by (priority desc, handle asc) so the first match wins.
+/// The tie-break rule of every ternary table, master or frozen: higher
+/// priority wins; a tie goes to the earlier insertion (lower handle).
+/// `best` may be null.
+template <typename Entry>
+[[nodiscard]] inline bool better(const Entry& candidate, const Entry* best) noexcept {
+  return best == nullptr || candidate.priority > best->priority ||
+         (candidate.priority == best->priority && candidate.handle < best->handle);
+}
+
+/// Entries sharing one exact first key, sorted by (priority desc, handle
+/// asc) so the first match wins.
 template <typename Action, int MaxWidth>
 struct TernaryBucket {
-  std::vector<TernaryEntry<Action, MaxWidth>> entries;
+  using Entry = TernaryEntry<Action, MaxWidth>;
+
+  std::vector<Entry> entries;
   /// Table generation of the last insert or erase in this bucket (0 = never
   /// written). A frozen copy taken at table generation G still equals the
   /// bucket iff stamp <= G.
   std::uint64_t stamp = 0;
+
+  void insert(Entry&& entry) {
+    // Handles grow monotonically, so inserting after every entry of
+    // priority >= p preserves insertion order within a priority level.
+    const int priority = entry.priority;
+    entries.insert(std::partition_point(entries.begin(), entries.end(),
+                                        [priority](const Entry& e) {
+                                          return e.priority >= priority;
+                                        }),
+                   std::move(entry));
+  }
+  void erase(std::size_t at) {
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+
+  [[nodiscard]] const Entry* match(std::span<const Word> fields,
+                                   int key_width) const noexcept {
+    for (const Entry& entry : entries) {
+      if (entry.matches(fields, key_width)) return &entry;
+    }
+    return nullptr;
+  }
 };
 
+/// The wildcard pool: every entry whose first key is not exact, held as one
+/// bucket with one stamp. Its entries form one contiguous run per lead, the
+/// entry's first key component with a nonzero mask as a (column, mask)
+/// pair. A run is sorted by (masked lead value, priority desc, handle asc),
+/// so among the entries whose lead value equals the packet's masked field
+/// the first full match is the run's winner. Entries with no masked
+/// component match every packet and form the run of mask 0 (column 0, every
+/// lead value 0).
 template <typename Action, int MaxWidth>
-[[nodiscard]] inline const TernaryEntry<Action, MaxWidth>* first_match(
-    const TernaryBucket<Action, MaxWidth>& bucket, std::span<const Word> fields,
-    int key_width) noexcept {
-  for (const auto& entry : bucket.entries) {
-    bool hit = true;
-    for (int i = 0; i < key_width; ++i) {
-      if (!entry.keys[static_cast<std::size_t>(i)].matches(
-              fields[static_cast<std::size_t>(i)])) {
-        hit = false;
-        break;
-      }
-    }
-    // Entries are sorted (priority desc, handle asc): the first match is
-    // the bucket's winner.
-    if (hit) return &entry;
-  }
-  return nullptr;
-}
+struct TernaryPool {
+  using Entry = TernaryEntry<Action, MaxWidth>;
+  struct Run {
+    std::uint32_t column = 0;
+    Word mask = 0;
+    std::size_t end = 0;  ///< one past its last entry; it starts where the previous run ends
+  };
 
-/// The match and tie-break rule of every ternary table, master or frozen:
-/// the better of the first matches in the exact-first-key bucket and in
-/// the wildcard pool (either may be null). Higher priority wins; a tie goes
-/// to the earlier insertion (lower handle). Both helpers are declared
-/// `inline` so the compiler inlines them into every lookup: left out of
-/// line they cost the per-packet path a few percent.
+  std::vector<Entry> entries;
+  std::vector<Word> lead_values;  ///< entries[i]'s masked lead value
+  std::vector<Run> runs;          ///< in entry order; none is empty
+  std::uint64_t stamp = 0;        ///< as TernaryBucket::stamp
+
+  void insert(Entry&& entry) {
+    std::uint32_t column = 0;
+    while (column < MaxWidth && entry.keys[column].mask == 0) ++column;
+    if (column == MaxWidth) column = 0;
+    const Word mask = entry.keys[column].mask;
+    const Word value = entry.keys[column].value & mask;
+    auto run = std::find_if(runs.begin(), runs.end(), [&](const Run& r) {
+      return r.column == column && r.mask == mask;
+    });
+    if (run == runs.end()) run = runs.insert(runs.end(), Run{column, mask, entries.size()});
+    // After every entry of a lower lead value, and every entry of an equal
+    // lead value and priority >= p (as TernaryBucket::insert).
+    const Word* values = lead_values.data();
+    const auto [lo, hi] = std::equal_range(values + begin_of(run), values + run->end, value);
+    const int priority = entry.priority;
+    const Entry* first = entries.data();
+    const std::ptrdiff_t at =
+        std::partition_point(first + (lo - values), first + (hi - values),
+                             [priority](const Entry& e) { return e.priority >= priority; }) -
+        first;
+    lead_values.insert(lead_values.begin() + at, value);
+    entries.insert(entries.begin() + at, std::move(entry));
+    for (; run != runs.end(); ++run) ++run->end;
+  }
+
+  void erase(std::size_t at) {
+    const auto run =
+        std::find_if(runs.begin(), runs.end(), [at](const Run& r) { return at < r.end; });
+    const std::size_t begin = begin_of(run);
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(at));
+    lead_values.erase(lead_values.begin() + static_cast<std::ptrdiff_t>(at));
+    for (auto later = run; later != runs.end(); ++later) --later->end;
+    if (run->end == begin) runs.erase(run);
+  }
+
+  /// The better of `best` and every run's winner.
+  [[nodiscard]] const Entry* match(std::span<const Word> fields, int key_width,
+                                   const Entry* best) const noexcept {
+    const Word* values = lead_values.data();
+    std::size_t begin = 0;
+    for (const Run& run : runs) {
+      const Word want = fields[run.column] & run.mask;
+      const Word* end = values + run.end;
+      for (const Word* it = std::lower_bound(values + begin, end, want);
+           it != end && *it == want; ++it) {
+        const Entry& entry = entries.data()[it - values];
+        if (entry.matches(fields, key_width)) {
+          if (better(entry, best)) best = &entry;
+          break;
+        }
+      }
+      begin = run.end;
+    }
+    return best;
+  }
+
+ private:
+  [[nodiscard]] std::size_t begin_of(
+      typename std::vector<Run>::const_iterator run) const noexcept {
+    return run == runs.begin() ? 0 : std::prev(run)->end;
+  }
+};
+
+/// The match rule of every ternary table, master or frozen: the better of
+/// the exact-first-key bucket's first match and the wildcard pool's best
+/// (either may be null). The helpers are inline so the compiler inlines
+/// them into every lookup: left out of line they cost the per-packet path a
+/// few percent.
 template <typename Action, int MaxWidth>
 [[nodiscard]] inline const TernaryEntry<Action, MaxWidth>* best_match(
-    const TernaryBucket<Action, MaxWidth>* exact,
-    const TernaryBucket<Action, MaxWidth>* wild, std::span<const Word> fields,
-    int key_width) noexcept {
+    const TernaryBucket<Action, MaxWidth>* exact, const TernaryPool<Action, MaxWidth>* pool,
+    std::span<const Word> fields, int key_width) noexcept {
   const TernaryEntry<Action, MaxWidth>* best =
-      exact != nullptr ? first_match(*exact, fields, key_width) : nullptr;
-  const TernaryEntry<Action, MaxWidth>* other =
-      wild != nullptr ? first_match(*wild, fields, key_width) : nullptr;
-  if (other != nullptr &&
-      (best == nullptr || other->priority > best->priority ||
-       (other->priority == best->priority && other->handle < best->handle))) {
-    best = other;
-  }
-  return best;
+      exact != nullptr ? exact->match(fields, key_width) : nullptr;
+  return pool != nullptr ? pool->match(fields, key_width, best) : best;
 }
 
 }  // namespace detail
@@ -172,17 +278,13 @@ class TernaryTable {
     entry.action = std::move(action);
 
     const bool indexed = keys[0].mask == 0xffffffffu;
-    Bucket& bucket = indexed ? bucket_for_insert(keys[0].value) : unindexed_;
-    // Keep the bucket sorted by (priority desc, handle asc): handles grow
-    // monotonically, so inserting after every entry of priority >= p
-    // preserves insertion order within a priority level.
-    const auto pos = std::partition_point(
-        bucket.entries.begin(), bucket.entries.end(),
-        [priority](const Entry& e) { return e.priority >= priority; });
-    bucket.entries.insert(pos, std::move(entry));
+    if (indexed) {
+      insert_into(bucket_for_insert(keys[0].value), std::move(entry));
+    } else {
+      insert_into(pool_, std::move(entry));
+    }
     locator_.emplace(handle, Locator{indexed, indexed ? keys[0].value : 0});
     ++size_;
-    bucket.stamp = ++generation_;
     return handle;
   }
 
@@ -211,7 +313,7 @@ class TernaryTable {
         if (it->second.entries.empty()) indexed_.erase(it);
       }
     } else {
-      erase_from(unindexed_, handle);
+      erase_from(pool_, handle);
     }
     locator_.erase(loc);
     --size_;
@@ -222,7 +324,7 @@ class TernaryTable {
   /// pointer stays valid until the next insert/erase.
   [[nodiscard]] const Action* lookup(std::span<const Word> fields) const noexcept {
     const Entry* best =
-        detail::best_match(find_bucket(fields[0]), &unindexed_, fields, key_width_);
+        detail::best_match(find_bucket(fields[0]), &pool_, fields, key_width_);
     return best == nullptr ? nullptr : &best->action;
   }
 
@@ -238,6 +340,7 @@ class TernaryTable {
   friend class FrozenTernaryTable<Action, MaxWidth>;
   using Entry = detail::TernaryEntry<Action, MaxWidth>;
   using Bucket = detail::TernaryBucket<Action, MaxWidth>;
+  using Pool = detail::TernaryPool<Action, MaxWidth>;
 
   struct Locator {
     bool indexed = false;
@@ -259,16 +362,25 @@ class TernaryTable {
     return indexed_[first_key];
   }
 
-  /// Erase `handle` from `bucket` and stamp the bucket with the current
-  /// generation (erase bumps it first).
-  void erase_from(Bucket& bucket, EntryHandle handle) {
+  /// Insert into `bucket` (an exact-first-key bucket or the pool) and
+  /// stamp it with the bumped generation.
+  template <typename B>
+  void insert_into(B& bucket, Entry&& entry) {
+    bucket.insert(std::move(entry));
+    bucket.stamp = ++generation_;
+  }
+
+  /// Erase `handle` from `bucket` (an exact-first-key bucket or the pool)
+  /// and stamp it with the current generation (erase bumps it first).
+  template <typename B>
+  void erase_from(B& bucket, EntryHandle handle) {
     const auto it = std::find_if(
         bucket.entries.begin(), bucket.entries.end(), [&](const Entry& e) {
           ++stats_.erase_probes;
           return e.handle == handle;
         });
     assert(it != bucket.entries.end());
-    bucket.entries.erase(it);
+    bucket.erase(static_cast<std::size_t>(it - bucket.entries.begin()));
     bucket.stamp = generation_;
   }
 
@@ -278,23 +390,25 @@ class TernaryTable {
   std::uint64_t generation_ = 1;  ///< bumped by every insert and erase
   std::vector<Bucket> dense_;  ///< buckets for first keys < kDenseFirstKeyLimit
   std::unordered_map<Word, Bucket> indexed_;  ///< buckets for large first keys
-  Bucket unindexed_;
+  Pool pool_;  ///< entries whose first key is not exact
   std::unordered_map<EntryHandle, Locator> locator_;
   EntryHandle next_handle_ = 1;
   TernaryTableStats stats_;
 };
 
 /// Immutable, publishable form of a TernaryTable: what a dp::TableSnapshot
-/// holds and shard pipes read concurrently. Buckets are held as
-/// shared_ptr<const>, so successive frozen forms of one master table share
-/// every bucket no insert or erase touched in between. A frozen table is
-/// never erased from, so it keeps no handle locator. Lookups run the same
-/// match and tie-break helper as the master table and write no shared state.
+/// holds and shard pipes read concurrently. Buckets and the wildcard pool
+/// are held as shared_ptr<const>, so successive frozen forms of one master
+/// table share every bucket no insert or erase touched in between. A frozen
+/// table is never erased from, so it keeps no handle locator. Lookups run
+/// the same match and tie-break helpers as the master table and write no
+/// shared state.
 template <typename Action, int MaxWidth = kMaxTernaryKeyWidth>
 class FrozenTernaryTable {
  public:
   using Master = TernaryTable<Action, MaxWidth>;
   using Bucket = detail::TernaryBucket<Action, MaxWidth>;
+  using Pool = detail::TernaryPool<Action, MaxWidth>;
 
   /// Freeze `master`. `previous` is null or a frozen form of the same master
   /// table: each bucket whose stamp has not moved past `previous`'s
@@ -314,8 +428,8 @@ class FrozenTernaryTable {
 
   /// Highest-priority matching action, or nullptr on miss.
   [[nodiscard]] const Action* lookup(std::span<const Word> fields) const noexcept {
-    const auto* best = detail::best_match(find_bucket(fields[0]), unindexed_.get(),
-                                          fields, key_width_);
+    const auto* best =
+        detail::best_match(find_bucket(fields[0]), pool_.get(), fields, key_width_);
     return best == nullptr ? nullptr : &best->action;
   }
 
@@ -329,21 +443,25 @@ class FrozenTernaryTable {
   [[nodiscard]] const Bucket* bucket(Word first_key) const noexcept {
     return find_bucket(first_key);
   }
-  /// The wildcard-first-key pool, or nullptr when it is empty.
-  [[nodiscard]] const Bucket* wildcard_bucket() const noexcept { return unindexed_.get(); }
+  /// The wildcard pool (every entry whose first key is not exact, in its
+  /// lead runs), or nullptr when it is empty. It is shared or copied whole,
+  /// as one bucket.
+  [[nodiscard]] const Pool* wildcard_bucket() const noexcept { return pool_.get(); }
 
  private:
   using BucketPtr = std::shared_ptr<const Bucket>;
+  using PoolPtr = std::shared_ptr<const Pool>;
 
   FrozenTernaryTable(const Master& master, const FrozenTernaryTable* previous,
                      FreezeCounts& counts)
       : key_width_(master.key_width_),
         size_(master.size_),
         generation_(master.generation_) {
-    // `old` is previous's bucket for the same first key (or null). It is
-    // still exact iff no insert or erase stamped the master bucket after
-    // previous was frozen.
-    const auto take = [&](const Bucket& bucket, const BucketPtr* old) -> BucketPtr {
+    // `old` is previous's bucket for the same first key, or its pool (or
+    // null). It is still exact iff no insert or erase stamped the master
+    // bucket after previous was frozen.
+    const auto take = [&]<typename B>(const B& bucket, const std::shared_ptr<const B>* old)
+        -> std::shared_ptr<const B> {
       if (bucket.entries.empty()) return nullptr;
       ++buckets_;
       if (old != nullptr && *old != nullptr && bucket.stamp <= previous->generation_) {
@@ -351,7 +469,7 @@ class FrozenTernaryTable {
         return *old;
       }
       ++counts.frozen;
-      return std::make_shared<Bucket>(bucket);
+      return std::make_shared<B>(bucket);
     };
     dense_.reserve(master.dense_.size());
     for (std::size_t key = 0; key < master.dense_.size(); ++key) {
@@ -368,8 +486,7 @@ class FrozenTernaryTable {
       }
       if (BucketPtr frozen = take(bucket, old)) indexed_.emplace(key, std::move(frozen));
     }
-    unindexed_ =
-        take(master.unindexed_, previous != nullptr ? &previous->unindexed_ : nullptr);
+    pool_ = take(master.pool_, previous != nullptr ? &previous->pool_ : nullptr);
   }
 
   [[nodiscard]] const Bucket* find_bucket(Word first_key) const noexcept {
@@ -385,7 +502,7 @@ class FrozenTernaryTable {
   std::size_t buckets_ = 0;
   std::vector<BucketPtr> dense_;  ///< index = exact first key; null = empty
   std::unordered_map<Word, BucketPtr> indexed_;
-  BucketPtr unindexed_;
+  PoolPtr pool_;
 };
 
 }  // namespace p4runpro::rmt

@@ -16,8 +16,11 @@
 //    exactly like one built from scratch, re-copies only the buckets a
 //    control operation wrote, keeps shared buckets alive as long as any
 //    snapshot holds them, and starts over after re-provisioning.
+//  - claims: with hundreds of filters installed, master and shard pipes
+//    claim every packet for the program a naive filter scan picks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -39,6 +42,7 @@
 #include "dataplane/table_snapshot.h"
 #include "obs/telemetry.h"
 #include "rmt/packet.h"
+#include "rmt/parser.h"
 #include "rmt/tables.h"
 
 namespace p4runpro {
@@ -862,6 +866,135 @@ TEST(SnapshotSharing, PublishTelemetryCountsFrozenAndSharedBuckets) {
     controller.set_async_writes(false);
     dataplane.disable_sharding();
   }
+}
+
+// --- claims under the benchmark's priority pattern --------------------------
+
+/// The program a naive scan over every installed filter gives `pkt`: among
+/// the programs whose filter suits the packet's parse path and whose tuples
+/// all match, the one of the highest filter priority; 0 when none matches.
+ProgramId naive_claim(const rmt::Packet& pkt, const rmt::Parser& parser,
+                      const std::vector<const ctrl::InstalledProgram*>& programs) {
+  const dp::ParsePath path = dp::InitBlock::path_of(parser.parse(pkt));
+  const Word l4_src = pkt.tcp ? pkt.tcp->src_port : pkt.udp ? pkt.udp->src_port : 0;
+  const Word l4_dst = pkt.tcp ? pkt.tcp->dst_port : pkt.udp ? pkt.udp->dst_port : 0;
+  const std::array<Word, dp::kFilterKeyWidth> fields = {
+      pkt.ingress_port,           pkt.ipv4 ? pkt.ipv4->src : 0,
+      pkt.ipv4 ? pkt.ipv4->dst : 0, pkt.ipv4 ? pkt.ipv4->proto : 0u,
+      l4_src,                     l4_dst,
+      pkt.eth.ether_type};
+  const ctrl::InstalledProgram* best = nullptr;
+  for (const ctrl::InstalledProgram* program : programs) {
+    const auto& filters = program->plan.filters;
+    const auto paths = dp::compatible_paths(filters);
+    if (std::find(paths.begin(), paths.end(), path) == paths.end()) continue;
+    const bool hit = std::all_of(filters.begin(), filters.end(), [&](const dp::FilterTuple& f) {
+      const auto slot = static_cast<std::size_t>(*dp::filter_key_slot(f.field));
+      return (fields[slot] & f.mask) == (f.value & f.mask);
+    });
+    if (hit && (best == nullptr || program->plan.filter_priority > best->plan.filter_priority)) {
+      best = program;
+    }
+  }
+  return best != nullptr ? best->id : 0;
+}
+
+// The benchmark's priority pattern: hh, lb and cache link first, then 200
+// newer fillers on UDP ports from 20000 and prefixes 10.100/16-10.239/16,
+// then a newest program whose filter duplicates lb's and must win lb's
+// packets, as a relink's copy does. Over a seeded packet set on all five
+// parse paths, the per-program claim counts of master inject_batch and of a
+// shard's inject_batch_on equal each other and a naive scan over every
+// installed filter.
+TEST(SnapshotClaims, BenchmarkPriorityPatternClaimsLikeANaiveScan) {
+  Bed serial;
+  Bed sharded;
+  sharded.dataplane.enable_sharding(1);
+  std::vector<ProgramId> ids;
+  const auto link_both = [&](const std::string& tmpl, const std::string& name,
+                             Word filter) {
+    const std::string source = program_source(tmpl, name, filter);
+    const auto a = serial.controller.link_single(source);
+    const auto b = sharded.controller.link_single(source);
+    if (!a.ok() || !b.ok() || a.value().id != b.value().id) return false;
+    ids.push_back(a.value().id);
+    return true;
+  };
+  ASSERT_TRUE(link_both("hh", "on_hh", 0x0a000000u));   // src 10.0/16
+  ASSERT_TRUE(link_both("lb", "on_lb", 0x0a020000u));   // dst 10.2/16
+  ASSERT_TRUE(link_both("cache", "on_cache", 7777u));   // UDP 7777
+  const std::array<const char*, 4> port_keys = {"cache", "nc", "dqacc", "calculator"};
+  const std::array<const char*, 6> prefix_keys = {"lb", "hh", "cms", "bf", "sumax", "hll"};
+  for (Word i = 0; i < 200; ++i) {
+    const std::string name = "fill" + std::to_string(i);
+    const Word prefix = (10u << 24) | ((100u + i % 140) << 16);
+    ASSERT_TRUE(i % 2 == 0 ? link_both(port_keys[i / 2 % 4], name, 20000u + i)
+                           : link_both(prefix_keys[i / 2 % 6], name, prefix))
+        << name;
+  }
+  ASSERT_TRUE(link_both("lb", "lb_copy", 0x0a020000u));
+
+  // Addresses in the hh and lb prefixes, in a filler prefix (10.101/16) and
+  // in none; ports of cache, of a filler and of nothing.
+  std::mt19937 rng(20261017);
+  const std::array<Word, 4> prefixes = {0x0a000000u, 0x0a020000u, 0x0a650000u, 0x0afe0000u};
+  const auto address = [&]() -> Word {
+    return prefixes[rng() % prefixes.size()] | static_cast<Word>(rng() & 0xffffu);
+  };
+  const auto port = [&]() -> std::uint16_t {
+    const std::array<std::uint16_t, 4> ports = {7777, 9999, 20002, 1234};
+    return ports[rng() % ports.size()];
+  };
+  std::vector<rmt::Packet> pkts;
+  for (int i = 0; i < 500; ++i) {
+    rmt::Packet pkt;
+    pkt.ingress_port = static_cast<Port>(rng() % 8);
+    if (i % 5 == 0) {  // Ethernet only
+      pkt.eth.ether_type = rng() % 2 == 0 ? 0x0806 : 0x86dd;
+      pkts.push_back(pkt);
+      continue;
+    }
+    pkt.ipv4 = rmt::Ipv4Header{.src = address(), .dst = address(), .proto = 1};
+    if (i % 5 == 2) {
+      pkt.ipv4->proto = 6;
+      pkt.tcp = rmt::TcpHeader{.src_port = 4000, .dst_port = port()};
+    } else if (i % 5 >= 3) {
+      pkt.ipv4->proto = 17;
+      pkt.udp = rmt::UdpHeader{.src_port = 4000, .dst_port = port()};
+      if (i % 5 == 4) {
+        pkt.app = rmt::AppHeader{.op = static_cast<Word>(1 + rng() % 2), .key1 = 0x8888};
+      }
+    }
+    pkts.push_back(pkt);
+  }
+
+  const rmt::Parser parser(rmt::ParserConfig{{7777, 9999}});
+  std::vector<const ctrl::InstalledProgram*> programs;
+  for (const ProgramId id : ids) programs.push_back(serial.controller.program(id));
+  std::set<dp::ParsePath> paths;
+  std::map<ProgramId, std::uint64_t> want;
+  for (const rmt::Packet& pkt : pkts) {
+    paths.insert(dp::InitBlock::path_of(parser.parse(pkt)));
+    ++want[naive_claim(pkt, parser, programs)];
+  }
+  ASSERT_EQ(paths.size(), static_cast<std::size_t>(dp::kNumParsePaths));
+
+  expect_batches_equal(serial.dataplane.inject_batch(pkts),
+                       sharded.dataplane.inject_batch_on(0, pkts), 0);
+  for (const ProgramId id : ids) {
+    EXPECT_EQ(serial.dataplane.claimed_packets(id), want[id]) << "master, program " << id;
+    EXPECT_EQ(sharded.dataplane.claimed_packets(id), want[id]) << "shard, program " << id;
+  }
+  // The packet set reaches every on-trace program and some fillers, and
+  // the copy, not the original, claims lb's packets.
+  EXPECT_GT(want[ids[0]], 0u);
+  EXPECT_EQ(want[ids[1]], 0u);
+  EXPECT_GT(want[ids[2]], 0u);
+  EXPECT_GT(want[ids.back()], 0u);
+  std::uint64_t filler_claims = 0;
+  for (std::size_t i = 3; i + 1 < ids.size(); ++i) filler_claims += want[ids[i]];
+  EXPECT_GT(filler_claims, 0u);
+  sharded.dataplane.disable_sharding();
 }
 
 }  // namespace
