@@ -412,10 +412,10 @@ Result<AllocationResult> solve_allocation(
     auto& m = telemetry->metrics;
     m.counter("compiler.solver.calls").inc();
     if (result.ok()) {
-      const auto bounds = obs::Histogram::count_bounds();
-      m.histogram("compiler.solver.nodes_explored", bounds)
+      static const std::vector<double> kCountBounds = obs::Histogram::count_bounds();
+      m.histogram("compiler.solver.nodes_explored", kCountBounds)
           .observe(static_cast<double>(result.value().nodes_explored));
-      m.histogram("compiler.solver.rounds", bounds)
+      m.histogram("compiler.solver.rounds", kCountBounds)
           .observe(static_cast<double>(result.value().rounds));
     } else {
       m.counter("compiler.solver.infeasible").inc();

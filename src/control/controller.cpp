@@ -1,6 +1,5 @@
 #include "control/controller.h"
 
-#include <algorithm>
 #include <cassert>
 #include <future>
 #include <utility>
@@ -130,11 +129,6 @@ Controller::Controller(dp::SwitchChain* chain,
     Hop& hop = *hops_.back();
     hop.updates.set_telemetry(telemetry_);
     contexts_.push_back(ChainHop{dataplane, &hop.resources, &hop.updates});
-  }
-  if (hops_.size() > 1) {
-    solve_pool_ = std::make_unique<common::ThreadPool>(
-        std::min(static_cast<unsigned>(hops_.size() - 1),
-                 common::ThreadPool::default_thread_count()));
   }
   // Admission gauges as probes: the admission controller is internally
   // synchronized, so sampling at export time is safe from any thread.
@@ -777,26 +771,20 @@ Result<std::vector<rp::AllocationResult>> Controller::solve_hops(
     const rp::TranslatedProgram& ir,
     const std::vector<ResourceManager::Snapshot>& snapshots,
     obs::Telemetry* telemetry) {
-  // Occupancies evolve in lockstep, so the per-hop solves are expected to
-  // agree (check_chain enforces it).
-  std::vector<std::future<Result<rp::AllocationResult>>> futures;
-  for (std::size_t h = 1; h < hops_.size(); ++h) {
-    futures.push_back(solve_pool_->submit(
-        [&ir, &snapshot = snapshots[h], &spec = hops_[h]->dataplane.spec(),
-         objective = objective_] {
-          return rp::solve_allocation(ir, spec, snapshot, objective, nullptr);
-        }));
-  }
-  std::vector<Result<rp::AllocationResult>> results;
-  results.push_back(rp::solve_allocation(ir, at(0).dataplane.spec(), snapshots[0],
-                                         objective_, telemetry));
-  for (auto& future : futures) results.push_back(future.get());
-
+  // Occupancies evolve in lockstep and the solver is deterministic, so a hop
+  // whose books equal hop 0's takes hop 0's answer. A hop whose books differ
+  // is solved on its own; check_chain rejects an answer that differs.
   std::vector<rp::AllocationResult> allocs;
-  allocs.reserve(results.size());
-  for (auto& result : results) {
-    if (!result.ok()) return result.error();
-    allocs.push_back(std::move(result).take());
+  allocs.reserve(hops_.size());
+  for (std::size_t h = 0; h < hops_.size(); ++h) {
+    if (h > 0 && snapshots[h] == snapshots[0]) {
+      allocs.push_back(allocs.front());
+      continue;
+    }
+    auto alloc = rp::solve_allocation(ir, hops_[h]->dataplane.spec(), snapshots[h],
+                                      objective_, h == 0 ? telemetry : nullptr);
+    if (!alloc.ok()) return alloc.error();
+    allocs.push_back(std::move(alloc).take());
   }
   return allocs;
 }

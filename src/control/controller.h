@@ -396,8 +396,9 @@ class Controller {
   /// blocks, re-reserve entries, replay the install op-log (fresh handles).
   void reinstall_hop(int hop, HopImage image);
   [[nodiscard]] HopImage capture_image(int hop, const InstalledProgram& program) const;
-  /// Per-hop allocations of `ir` against `snapshots`: hop 0 on the calling
-  /// thread (with `telemetry`), hops 1..N-1 on the solve pool.
+  /// Per-hop allocations of `ir` against `snapshots`, on the calling thread:
+  /// one solve of hop 0 (with `telemetry`) serves every hop whose snapshot
+  /// equals hop 0's; a hop whose books differ is solved on its own.
   Result<std::vector<rp::AllocationResult>> solve_hops(
       const rp::TranslatedProgram& ir,
       const std::vector<ResourceManager::Snapshot>& snapshots,
@@ -442,8 +443,6 @@ class Controller {
   std::optional<double> fixed_alloc_charge_ms_;
   std::vector<std::unique_ptr<Hop>> hops_;
   std::vector<ChainHop> contexts_;  ///< hops_ as ChainTransaction contexts
-  /// Solves hops 1..N-1 while the calling thread solves hop 0 (chains only).
-  std::unique_ptr<common::ThreadPool> solve_pool_;
 
   mutable std::mutex mu_;  ///< session lock (see locking discipline above)
   std::deque<ControlEvent> events_;

@@ -162,7 +162,7 @@ Result<InstalledProgram> DeployTransaction::finalize(
   out.name = ir_.name;
   out.ir = ir_;
   out.alloc = std::move(alloc_);
-  out.plan = plan_;
+  out.plan = std::move(plan_);
   out.placements = placements_;
   auto entries = std::move(applied).take();
   out.filter_handles = std::move(entries.filter_handles);

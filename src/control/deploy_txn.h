@@ -122,7 +122,6 @@ class DeployTransaction {
   [[nodiscard]] const std::map<std::string, VmemPlacement>& placements() const noexcept {
     return placements_;
   }
-  [[nodiscard]] const rp::EntryPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] const dp::WriteBatch& staged_batch() const noexcept { return batch_; }
 
  private:

@@ -58,6 +58,8 @@ class ResourceManager {
     /// Can `sizes` all be carved (first-fit, in order) out of the given
     /// RPB's free list?
     [[nodiscard]] bool can_allocate(int rpb, std::span<const std::uint32_t> sizes) const;
+
+    friend bool operator==(const Snapshot&, const Snapshot&) = default;
   };
   [[nodiscard]] Snapshot snapshot() const;
 

@@ -401,8 +401,8 @@ void UpdateEngine::emit_charges(const WriteOutcome& outcome) {
     m.counter("ctrl.bfrt.batches").inc();
     m.counter("ctrl.bfrt.entry_writes").inc(charge.entries);
     if (outcome.maintenance) m.counter("ctrl.bfrt.maintenance_batches").inc();
-    const auto bounds = obs::Histogram::count_bounds();
-    m.histogram("ctrl.bfrt.batch_entries", bounds)
+    static const std::vector<double> kCountBounds = obs::Histogram::count_bounds();
+    m.histogram("ctrl.bfrt.batch_entries", kCountBounds)
         .observe(static_cast<double>(charge.entries));
     if (charge.coalesced) m.counter("ctrl.bfrt.coalesced_batches").inc();
   }

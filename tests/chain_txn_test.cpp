@@ -460,6 +460,54 @@ TEST(ChainTxn, StarvedHopAbortsTheWholeDeployBeforeAnyWrite) {
   EXPECT_TRUE(bed.controller.link(hh_source()).ok());
 }
 
+TEST(ChainTxn, DivergentHopBooksAreRejectedBeforeAnyWrite) {
+  // Hop books move in lockstep, so one solve serves every hop. A hop whose
+  // books differ is solved on its own; when its answer differs from hop 0's,
+  // the deploy fails with Conflict before a single write lands on ANY hop.
+  ChainBed bed(3);
+  ASSERT_TRUE(bed.controller.link(cache_source()).ok());
+
+  auto compiled = rp::compile_source(hh_source(), nullptr);
+  ASSERT_TRUE(compiled.ok());
+  auto alloc = rp::solve_allocation(compiled.value().front(), bed.chain.spec_at(0),
+                                    bed.controller.resources(0).snapshot(),
+                                    rp::Objective{});
+  ASSERT_TRUE(alloc.ok());
+  ASSERT_FALSE(alloc.value().vmem_rpb.empty());
+  const int rpb = alloc.value().vmem_rpb.begin()->second;
+
+  // Take every free block of that RPB on hop 1 only, so hop 1's solve must
+  // pin the memory elsewhere. (Copy the snapshot: iterating a temporary's
+  // free list would dangle.)
+  auto& diverged = bed.controller.resources(1);
+  const ctrl::ResourceManager::Snapshot snapshot = diverged.snapshot();
+  std::vector<ctrl::MemBlock> taken;
+  for (const ctrl::MemBlock& block : snapshot.free_mem[rpb - 1]) {
+    auto claimed = diverged.allocate_memory(rpb, block.size);
+    ASSERT_TRUE(claimed.ok());
+    taken.push_back(claimed.value());
+  }
+  ASSERT_FALSE(taken.empty());
+  const ChainSnapshot before = capture(bed);
+  std::vector<std::uint64_t> writes_before;
+  for (int h = 0; h < 3; ++h) {
+    writes_before.push_back(bed.controller.updates(h).writes_applied());
+  }
+
+  auto linked = bed.controller.link(hh_source());
+  ASSERT_FALSE(linked.ok());
+  EXPECT_EQ(linked.error().code, ErrorCode::Conflict);
+  EXPECT_TRUE(capture(bed) == before);
+  for (int h = 0; h < 3; ++h) {
+    EXPECT_EQ(bed.controller.updates(h).writes_applied(), writes_before[h])
+        << "hop " << h << " saw a write during a rejected deploy";
+  }
+
+  // Back in lockstep, the very same deploy succeeds.
+  for (const ctrl::MemBlock& block : taken) diverged.free_memory(rpb, block);
+  EXPECT_TRUE(bed.controller.link(hh_source()).ok());
+}
+
 TEST(ChainTxn, ReserveFailureInPhaseOneRollsBackEveryHop) {
   // Drive ChainTransaction directly with allocations solved BEFORE hop 1 is
   // starved: phase 1 then reserves hops 0 fine, fails at hop 1's entry
