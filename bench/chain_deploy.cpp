@@ -75,9 +75,8 @@ ModeSample run_chain(int hops, const std::vector<std::string>& sources,
   SimClock clock;
   dp::SwitchChain chain(hops, bench_spec(hops), rmt::ParserConfig{{7777}});
   // Null telemetry = the process-wide default bundle, so the sidecar flags
-  // (--trace-out etc.) see the chain_txn.* spans. Safe single-threaded: the
-  // pool that solves hops 1..N-1 never touches telemetry; hop 0 solves on
-  // this thread.
+  // (--trace-out etc.) see the chain_txn.* spans. Safe single-threaded: a
+  // serial chain controller starts no threads and solves on this thread.
   ctrl::ChainController controller(chain, clock, {}, {}, nullptr);
   // Fix the allocation charge so virtual time does not depend on host speed.
   controller.set_fixed_alloc_charge_ms(5.0);

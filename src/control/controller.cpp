@@ -240,10 +240,10 @@ Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source,
                                                         bool single) {
   auto link_span =
       telemetry_->tracer.span(chain_ != nullptr ? "chain_link" : "link", "ctrl");
-  const double parse_start_ms = clock_.now_ms();
+  const SimClock::Nanos parse_start_ns = clock_.now_ns();
   auto compiled = compile_locked(source, single);
   if (!compiled.ok()) return compiled.error();
-  const double parse_ms = clock_.now_ms() - parse_start_ms;
+  const double parse_ms = static_cast<double>(clock_.now_ns() - parse_start_ns) / 1e6;
 
   std::vector<LinkResult> results;
   for (const auto& ir : compiled.value()) {
@@ -366,7 +366,10 @@ Result<Controller::Deployed> Controller::deploy_locked(const rp::TranslatedProgr
 
   // Consistent update (simulated bfrt writes; §6.2.1 "update delay").
   const bool parked = park != nullptr && txn->pipelined();
-  const double update_start_ms = clock_.now_ms();
+  // Intervals are taken in integer nanoseconds and converted once: the
+  // difference of two millisecond doubles depends on the absolute time,
+  // which wall-clock allocation charges make differ from run to run.
+  const SimClock::Nanos update_start_ns = clock_.now_ns();
   Status committed;
   if (parked) {
     // Pipelined commit: submit under the lock, park OFF-lock while the
@@ -394,7 +397,8 @@ Result<Controller::Deployed> Controller::deploy_locked(const rp::TranslatedProgr
   deployed.result.name = ir.name;
   deployed.result.stats.alloc_ms = alloc_ms;
   deployed.result.stats.update_ms =
-      parked ? txn->channel_ms() : clock_.now_ms() - update_start_ms;
+      parked ? txn->channel_ms()
+             : static_cast<double>(clock_.now_ns() - update_start_ns) / 1e6;
   deployed.txn = std::move(txn);
   return deployed;
 }

@@ -109,19 +109,22 @@ const std::list<MemBlock>& ResourceManager::free_list(int rpb) const {
 bool ResourceManager::Snapshot::can_allocate(
     int rpb, std::span<const std::uint32_t> sizes) const {
   if (rpb < 1 || static_cast<std::size_t>(rpb) > free_mem.size()) return false;
-  // Simulate first-fit carving on a copy of the free list.
-  std::vector<MemBlock> blocks = free_mem[static_cast<std::size_t>(rpb - 1)];
+  const auto& blocks = free_mem[static_cast<std::size_t>(rpb - 1)];
+  if (sizes.size() == 1) {
+    return std::any_of(blocks.begin(), blocks.end(),
+                       [&](const MemBlock& b) { return b.size >= sizes[0]; });
+  }
+  // Simulate first-fit carving on a copy of the block sizes. The solver
+  // asks on every search node that pins memory, so the copy reuses a
+  // per-thread buffer.
+  thread_local std::vector<std::uint32_t> remaining;
+  remaining.clear();
+  for (const auto& b : blocks) remaining.push_back(b.size);
   for (std::uint32_t size : sizes) {
-    bool placed = false;
-    for (auto& b : blocks) {
-      if (b.size >= size) {
-        b.base += size;
-        b.size -= size;
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return false;
+    const auto it = std::find_if(remaining.begin(), remaining.end(),
+                                 [&](std::uint32_t free) { return free >= size; });
+    if (it == remaining.end()) return false;
+    *it -= size;
   }
   return true;
 }

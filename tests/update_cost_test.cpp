@@ -3,8 +3,11 @@
 // overheads, and the memory-reset charge on termination.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "apps/program_library.h"
 #include "common/clock.h"
+#include "common/rng.h"
 #include "control/controller.h"
 #include "dataplane/runpro_dataplane.h"
 
@@ -75,6 +78,51 @@ TEST(UpdateCost, DelayScalesWithEntryCount) {
     ASSERT_TRUE(linked.ok()) << elastic;
     EXPECT_GT(linked.value().stats.update_ms, previous) << elastic;
     previous = linked.value().stats.update_ms;
+  }
+}
+
+TEST(UpdateCost, IdenticalLinksReportIdenticalDelaysOnTwoBeds) {
+  // Two fresh switches replay one seeded link/revoke sequence. Each link's
+  // measured (wall-clock) allocation charge moves the two virtual clocks
+  // apart, but a link's parse and update delays are intervals of the same
+  // modelled charges, so they must agree to the last bit. Charges that are
+  // not whole multiples of a power-of-two fraction of a millisecond (as a
+  // calibrated model's are) make any subtraction of absolute millisecond
+  // readings round differently on the two clocks.
+  struct Bed {
+    static ctrl::BfrtCostModel cost() {
+      ctrl::BfrtCostModel model;
+      model.per_entry_write_us = 123.4;
+      model.per_batch_overhead_us = 456.7;
+      return model;
+    }
+    SimClock clock;
+    dp::RunproDataplane dataplane{dp::DataplaneSpec{}, rmt::ParserConfig{{7777}}};
+    ctrl::Controller controller{dataplane, clock, rp::Objective{}, cost()};
+    std::deque<ProgramId> live;
+  };
+  Bed beds[2];
+  Rng rng(7);
+  const auto& catalog = apps::program_catalog();
+  for (int i = 0; i < 400; ++i) {
+    apps::ProgramConfig config;
+    const std::string& key = catalog[rng.uniform(catalog.size())].key;
+    config.instance_name = key + "_" + std::to_string(i);
+    config.elastic_cases = 1 + static_cast<int>(rng.uniform(16));
+    const std::string source = apps::make_program_source(key, config);
+    ctrl::LinkStats stats[2];
+    for (int b = 0; b < 2; ++b) {
+      auto linked = beds[b].controller.link_single(source);
+      ASSERT_TRUE(linked.ok()) << i << ": " << linked.error().str();
+      stats[b] = linked.value().stats;
+      beds[b].live.push_back(linked.value().id);
+      if (beds[b].live.size() > 48) {
+        ASSERT_TRUE(beds[b].controller.revoke(beds[b].live.front()).ok());
+        beds[b].live.pop_front();
+      }
+    }
+    EXPECT_EQ(stats[0].parse_ms, stats[1].parse_ms) << "link " << i;
+    EXPECT_EQ(stats[0].update_ms, stats[1].update_ms) << "link " << i;
   }
 }
 
