@@ -11,10 +11,11 @@
 //       physical RPB in later rounds      x_j = x_i + M*k
 // and optimizes one of the paper's objective functions (§6.2.4). The paper
 // uses Z3; this is a purpose-built branch-and-bound search over the same
-// model (the domain is tiny: M*(R+1) <= 44). The relative cost ordering of
-// the objectives (f2 < f1 < hierarchical < f3) is preserved because the
-// linear objectives admit strong bound pruning while the ratio f3 forces a
-// full scan of the start positions.
+// model (the domain is tiny: M*(R+1) logical RPBs, 44 on one switch with
+// one recirculation, 66 on a 3-hop chain, 88 on 4 hops). The relative cost
+// ordering of the objectives (f2 < f1 < hierarchical < f3) is preserved
+// because the linear objectives admit strong bound pruning while the ratio
+// f3 forces a full scan of the start positions.
 #pragma once
 
 #include <cstdint>

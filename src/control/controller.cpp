@@ -11,6 +11,10 @@ namespace p4runpro::ctrl {
 
 namespace {
 
+/// Virtual parse time charged per compiled source unit: the ~2 ms the paper
+/// measures for parsing on the switch CPU (§6.2.1).
+constexpr double kParseChargeMs = 2.0;
+
 // A session's resource demand is computable straight from the IR — before
 // solving — and equals the committed footprint exactly (reserve takes
 // ir.vmem_sizes words per vmem and one entry per node / per branch case).
@@ -274,11 +278,11 @@ Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source,
 
 Result<std::vector<rp::TranslatedProgram>> Controller::compile_locked(
     std::string_view source, bool single) {
-  // Parse + check + translate. The paper measures ~2 ms average parse time
-  // on the switch CPU; charge it to the simulated clock. compile_source
-  // emits the "parse" and "translate" spans.
+  // Parse + check + translate, charged to the simulated clock at the
+  // paper's parse time. compile_source emits the "parse" and "translate"
+  // spans.
   auto compiled = rp::compile_source(source, telemetry_);
-  clock_.advance_ms(2.0);
+  clock_.advance_ms(kParseChargeMs);
   const Status unit = unit_status(compiled, single);
   if (unit.ok()) return compiled;
   record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
@@ -442,7 +446,7 @@ Result<LinkResult> Controller::link_session(const SessionSpec& session,
   auto compiled = rp::compile_source(session.source, nullptr);
   if (const Status unit = unit_status(compiled, /*single=*/true); !unit.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
-    clock_.advance_ms(2.0);
+    clock_.advance_ms(kParseChargeMs);
     record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
     return unit.error();
   }
@@ -520,7 +524,7 @@ Result<LinkResult> Controller::link_session_admitted(
     // is per attempt: the successful attempt's id is the one the LinkResult
     // reports.
     Session session(*this);
-    if (attempt == 0) clock_.advance_ms(2.0);  // parse charge, once
+    if (attempt == 0) clock_.advance_ms(kParseChargeMs);  // once per session
     bool retry = false;
     auto deployed = deploy_locked(
         ir, 0,
@@ -542,7 +546,7 @@ Result<LinkResult> Controller::link_session_admitted(
     record_event(ControlEvent::Kind::Link, deployed.value().result.id, ir.name);
 
     LinkResult result = std::move(deployed.value().result);
-    result.stats.parse_ms = 2.0;
+    result.stats.parse_ms = kParseChargeMs;
     result.trace = session.trace_id();
     record_link_histograms(result);
     return result;

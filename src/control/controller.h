@@ -11,7 +11,7 @@
 // recirculation id doubles as the hop count, so ids must match chain-wide).
 // Each hop keeps its own books — resource manager, update engine and
 // installed programs — and every mutation runs through one deploy body (a
-// ChainTransaction with one DeployTransaction per hop) and one removal
+// ChainTransaction that stages and commits every hop) and one removal
 // body (chain-wide consistent remove with per-hop rollback).
 #pragma once
 

@@ -4,13 +4,13 @@
 // on revoke), until programs the solver says fit are rejected at reserve
 // time because no single free block is large enough. The defrag pass
 // migrates installed programs through the existing relink machinery — a
-// DeployTransaction built from the program's *stored* IR and allocation
+// ChainTransaction built from the program's *stored* IR and allocation
 // (same pinned stages) with `replacing = old_id`, so memory contents carry
 // over and traffic always sees exactly one complete copy — then revokes the
 // old copy, whose freed blocks coalesce.
 //
 // Simulation-first: because the rebuilt transaction reuses the stored
-// allocation, its reserve() is exactly reproducible against a free-list
+// allocation, its reservation is exactly reproducible against a free-list
 // copy (same first-fit walk, same vmem order, same sizes). A candidate move
 // is executed only when the simulated post-move fragmentation improves by
 // at least min_gain_words, which is what makes the fragmentation metric

@@ -1,6 +1,6 @@
 // Consistent update engine (paper §4.3 "Consistent Update", Fig. 6) —
-// the *executor* of staged op-logs. Deploy/relink/revoke transactions
-// (ctrl::DeployTransaction) stage a declarative dp::WriteBatch; this engine
+// the *executor* of staged op-logs. Deploy/relink transactions
+// (ctrl::ChainTransaction) and removals stage a dp::WriteBatch; this engine
 // walks the batch, pushing every write through a simulated bfrt channel
 // whose latency model is charged to the virtual clock (the paper's
 // update-delay numbers are dominated by exactly these per-entry gRPC

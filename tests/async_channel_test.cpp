@@ -19,6 +19,7 @@
 #include "common/result.h"
 #include "control/controller.h"
 #include "control/inspect.h"
+#include "control/lock_hold.h"
 #include "control/resource_manager.h"
 #include "control/update_engine.h"
 #include "dataplane/runpro_dataplane.h"
@@ -259,6 +260,27 @@ TEST(AsyncChannel, LockHoldAndQueueDepthSurfaceInReportAndSeries) {
   bed.telemetry.series.sample(bed.telemetry.metrics, bed.clock.now_ns());
   EXPECT_NE(bed.telemetry.series.series("ctrl.channel.queue_depth"), nullptr);
   EXPECT_NE(bed.telemetry.series.series("ctrl.commit.lock_hold_ms.p50"), nullptr);
+}
+
+TEST(AsyncChannel, LockHoldSumsHeldIntervalsInIntegerNanoseconds) {
+  // 100 us held, 5 ms parked off-lock, 200 us held again, starting late on
+  // the clock: a sum of millisecond differences would read
+  // 0.3000000000001819 here, the nanosecond sum reads exactly 0.3.
+  SimClock clock;
+  obs::Telemetry telemetry;
+  clock.advance_ns(1'234'567'891);
+  {
+    ctrl::LockHoldTimer hold(clock, &telemetry);
+    clock.advance_ns(100'000);
+    hold.pause();
+    clock.advance_ns(5'000'000);
+    hold.resume();
+    clock.advance_ns(200'000);
+  }
+  const auto* observed = telemetry.metrics.find_histogram("ctrl.commit.lock_hold_ms");
+  ASSERT_NE(observed, nullptr);
+  ASSERT_EQ(observed->count(), 1u);
+  EXPECT_EQ(observed->sum(), 0.3);
 }
 
 TEST(AsyncChannel, ReplayedBfrtSpansCarryTheSubmitTimeTraceId) {
