@@ -570,7 +570,10 @@ Result<LinkResult> Controller::relink(ProgramId old_id, std::string_view source)
   auto compiled = compile_locked(source, /*single=*/true);
   if (!compiled.ok()) return compiled.error();
   auto relinked = replace_locked(old_id, compiled.value().front(), std::nullopt, "");
-  if (relinked.ok()) relinked.value().trace = session.trace_id();
+  if (relinked.ok()) {
+    relinked.value().stats.parse_ms = kParseChargeMs;  // defrag moves parse nothing
+    relinked.value().trace = session.trace_id();
+  }
   return relinked;
 }
 

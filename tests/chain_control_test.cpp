@@ -160,6 +160,29 @@ TEST(LinkSingle, MultiProgramUnitOnAChainDeploysNothing) {
                                      bed.controller.link(two_program_unit()));
 }
 
+/// A relink compiles its source under the session lock, so it reports the
+/// parse it charged to the clock, as a link does.
+void expect_relink_reports_parse(ctrl::Controller& controller) {
+  auto linked = controller.link_single(cache_source("c"));
+  ASSERT_TRUE(linked.ok()) << linked.error().str();
+  auto relinked = controller.relink(linked.value().id, cache_source("c"));
+  ASSERT_TRUE(relinked.ok()) << relinked.error().str();
+  EXPECT_DOUBLE_EQ(linked.value().stats.parse_ms, 2.0);
+  EXPECT_DOUBLE_EQ(relinked.value().stats.parse_ms, 2.0);
+}
+
+TEST(Relink, ReportsTheParseItChargedOnOneSwitch) {
+  SimClock clock;
+  dp::RunproDataplane dataplane(dp::DataplaneSpec{}, rmt::ParserConfig{{7777}});
+  ctrl::Controller controller(dataplane, clock);
+  expect_relink_reports_parse(controller);
+}
+
+TEST(Relink, ReportsTheParseItChargedOnAChain) {
+  ChainBed bed;
+  expect_relink_reports_parse(bed.controller);
+}
+
 // --- ChainTenant: quotas and fair admission for chain sessions ------------
 // Every case runs on both channels: async chain sessions park off-lock while
 // every hop's writer drains.
