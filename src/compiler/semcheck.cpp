@@ -1,8 +1,9 @@
 #include "compiler/semcheck.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "dataplane/init_block.h"
 #include "rmt/packet.h"
@@ -15,7 +16,7 @@ using lang::Argument;
 using lang::Primitive;
 using lang::PrimKind;
 
-[[nodiscard]] Error at_line(int line, std::string message) {
+[[nodiscard, gnu::cold]] Error at_line(int line, std::string message) {
   return Error{std::move(message), "line " + std::to_string(line),
                ErrorCode::SemanticError};
 }
@@ -68,12 +69,18 @@ using lang::PrimKind;
   return "";
 }
 
+/// Does an element of `items` before `end` carry `name`? Names are few, so
+/// a scan beats building a set.
+template <typename T>
+[[nodiscard]] bool named(const std::vector<T>& items, std::size_t end, const std::string& name) {
+  return std::any_of(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(end),
+                     [&name](const T& item) { return item.name == name; });
+}
+
 class Checker {
  public:
   Checker(const lang::Unit& unit, const lang::ProgramDecl& program)
-      : program_(program) {
-    for (const auto& ann : unit.annotations) declared_mems_.insert(ann.name);
-  }
+      : unit_(unit), program_(program) {}
 
   Status run() {
     if (program_.filters.empty()) {
@@ -103,7 +110,7 @@ class Checker {
   Status check_primitive(const Primitive& prim) {
     if (prim.kind == PrimKind::Branch) return check_branch(prim);
 
-    const std::string sig = signature(prim.kind);
+    const std::string_view sig = signature(prim.kind);
     if (prim.args.size() != sig.size()) {
       return at_line(prim.line, std::string(lang::prim_name(prim.kind)) + " expects " +
                                     std::to_string(sig.size()) + " argument(s), got " +
@@ -134,12 +141,14 @@ class Checker {
       if (c.conditions.empty()) {
         return at_line(c.line, "case needs at least one condition");
       }
-      std::set<Reg> seen;
+      unsigned seen = 0;  // bit per register
       for (const auto& cond : c.conditions) {
-        if (!seen.insert(cond.reg).second) {
+        const unsigned bit = 1u << static_cast<unsigned>(cond.reg);
+        if ((seen & bit) != 0) {
           return at_line(cond.line, std::string("duplicate condition on register ") +
                                         to_string(cond.reg));
         }
+        seen |= bit;
       }
       if (auto s = check_body(c.body); !s.ok()) return s;
     }
@@ -147,42 +156,43 @@ class Checker {
   }
 
   Status check_argument(const Primitive& prim, const Argument& arg, char expected) {
-    const char* prim_str = lang::prim_name(prim.kind);
+    auto prim_str = [&prim] { return std::string(lang::prim_name(prim.kind)); };
     switch (expected) {
       case 'R':
         if (arg.kind != Argument::Kind::Register) {
-          return at_line(arg.line, std::string(prim_str) + ": expected a register argument");
+          return at_line(arg.line, prim_str() + ": expected a register argument");
         }
         return {};
       case 'I':
         if (arg.kind != Argument::Kind::Integer) {
-          return at_line(arg.line, std::string(prim_str) + ": expected an integer argument");
+          return at_line(arg.line, prim_str() + ": expected an integer argument");
         }
         return {};
       case 'F': {
         if (arg.kind != Argument::Kind::Field) {
-          return at_line(arg.line, std::string(prim_str) + ": expected a header/metadata field");
+          return at_line(arg.line, prim_str() + ": expected a header/metadata field");
         }
         if (!rmt::field_from_name(arg.text)) {
           return at_line(arg.line, "unknown field '" + arg.text + "'");
         }
         return {};
       }
-      case 'M':
+      case 'M': {
         if (arg.kind != Argument::Kind::Identifier) {
-          return at_line(arg.line, std::string(prim_str) + ": expected a memory identifier");
+          return at_line(arg.line, prim_str() + ": expected a memory identifier");
         }
-        if (declared_mems_.find(arg.text) == declared_mems_.end()) {
+        if (!named(unit_.annotations, unit_.annotations.size(), arg.text)) {
           return at_line(arg.line, "memory '" + arg.text + "' was not declared with '@'");
         }
         return {};
+      }
       default:
         return at_line(arg.line, "internal: bad signature");
     }
   }
 
+  const lang::Unit& unit_;
   const lang::ProgramDecl& program_;
-  std::set<std::string> declared_mems_;
 };
 
 }  // namespace
@@ -192,8 +202,9 @@ Status check_program(const lang::Unit& unit, const lang::ProgramDecl& program) {
 }
 
 Status check_unit(const lang::Unit& unit) {
-  std::set<std::string> names;
-  for (const auto& ann : unit.annotations) {
+  const auto& anns = unit.annotations;
+  for (std::size_t i = 0; i < anns.size(); ++i) {
+    const auto& ann = anns[i];
     // Sizes are rounded up to powers of two by the translator (mask-based
     // address translation; the round-up is the internal fragmentation §7
     // mentions — e.g. `@ port_pool 10` in the paper's lb program).
@@ -201,14 +212,14 @@ Status check_unit(const lang::Unit& unit) {
       return Error{"memory '" + ann.name + "' must have a non-zero size",
                    "line " + std::to_string(ann.line), ErrorCode::SemanticError};
     }
-    if (!names.insert(ann.name).second) {
+    if (named(anns, i, ann.name)) {
       return Error{"duplicate memory declaration '" + ann.name + "'",
                    "line " + std::to_string(ann.line), ErrorCode::SemanticError};
     }
   }
-  std::set<std::string> prog_names;
-  for (const auto& prog : unit.programs) {
-    if (!prog_names.insert(prog.name).second) {
+  for (std::size_t i = 0; i < unit.programs.size(); ++i) {
+    const auto& prog = unit.programs[i];
+    if (named(unit.programs, i, prog.name)) {
       return Error{"duplicate program name '" + prog.name + "'",
                    "line " + std::to_string(prog.line), ErrorCode::SemanticError};
     }
