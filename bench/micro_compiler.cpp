@@ -2,7 +2,17 @@
 // lexing, parsing, translation, allocation solving per objective, and the
 // full link path. These quantify the "allocation delay is insensitive to
 // allocated resources but grows with AST depth" claim (§6.2.1).
+//
+// BM_CompileCatalog/<i> compiles catalog program i the way a link session
+// does (`compile_source(src, nullptr)`) and reports `allocs`, the global
+// operator new calls per compile, counted by the allocator this binary
+// replaces (this binary only).
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "apps/program_library.h"
 #include "compiler/compiler.h"
@@ -12,6 +22,26 @@
 #include "lang/parser.h"
 
 #include "bench_util.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// The replacement pairs malloc with free by design; GCC cannot tell that
+// the operators it sees inlined are these replacements.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -51,6 +81,21 @@ void BM_Translate(benchmark::State& state) {
 }
 BENCHMARK(BM_Translate)->DenseRange(0, 3)
     ->ArgNames({"program(l3/cache/hh/hll)"});
+
+void BM_CompileCatalog(benchmark::State& state) {
+  const auto& info = apps::program_catalog()[static_cast<std::size_t>(state.range(0))];
+  const std::string src = source_for(info.key);
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto programs = rp::compile_source(src, nullptr);
+    benchmark::DoNotOptimize(programs);
+  }
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  state.counters["allocs"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+  state.SetLabel(info.key);
+}
+BENCHMARK(BM_CompileCatalog)->DenseRange(0, 14);
 
 void BM_Solve(benchmark::State& state) {
   const char* kKeys[] = {"l3", "cache", "hh", "hll"};
