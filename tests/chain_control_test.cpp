@@ -183,6 +183,37 @@ TEST(Relink, ReportsTheParseItChargedOnAChain) {
   expect_relink_reports_parse(bed.controller);
 }
 
+/// A relink's update delay is its one transaction's whole update window —
+/// the new version's install and the old version's retire — so with a fixed
+/// allocation charge its deploy delay is the relink span's virtual length.
+void expect_relink_update_covers_retire(ctrl::Controller& controller,
+                                        const obs::Telemetry& telemetry) {
+  controller.set_fixed_alloc_charge_ms(1.0);
+  auto linked = controller.link_single(cache_source("c"));
+  ASSERT_TRUE(linked.ok()) << linked.error().str();
+  auto relinked = controller.relink(linked.value().id, cache_source("c", 64));
+  ASSERT_TRUE(relinked.ok()) << relinked.error().str();
+  const std::size_t span =
+      telemetry.tracer.find(controller.length() > 1 ? "chain_relink" : "relink");
+  ASSERT_NE(span, obs::SpanTracer::kNoSpan);
+  EXPECT_DOUBLE_EQ(relinked.value().stats.deploy_ms(),
+                   telemetry.tracer.spans()[span].virtual_ms());
+  EXPECT_GT(relinked.value().stats.update_ms, linked.value().stats.update_ms);
+}
+
+TEST(Relink, UpdateDelayCoversTheRetireOnOneSwitch) {
+  SimClock clock;
+  obs::Telemetry telemetry;
+  dp::RunproDataplane dataplane(dp::DataplaneSpec{}, rmt::ParserConfig{{7777}});
+  ctrl::Controller controller(dataplane, clock, {}, {}, &telemetry);
+  expect_relink_update_covers_retire(controller, telemetry);
+}
+
+TEST(Relink, UpdateDelayCoversTheRetireOnAChain) {
+  ChainBed bed;
+  expect_relink_update_covers_retire(bed.controller, bed.telemetry);
+}
+
 // --- ChainTenant: quotas and fair admission for chain sessions ------------
 // Every case runs on both channels: async chain sessions park off-lock while
 // every hop's writer drains.
