@@ -207,9 +207,15 @@ Status check_unit(const lang::Unit& unit) {
     const auto& ann = anns[i];
     // Sizes are rounded up to powers of two by the translator (mask-based
     // address translation; the round-up is the internal fragmentation §7
-    // mentions — e.g. `@ port_pool 10` in the paper's lb program).
+    // mentions — e.g. `@ port_pool 10` in the paper's lb program), so a
+    // size above 2^31 has no 32-bit round-up.
     if (ann.size == 0) {
       return Error{"memory '" + ann.name + "' must have a non-zero size",
+                   "line " + std::to_string(ann.line), ErrorCode::SemanticError};
+    }
+    if (ann.size > (1u << 31)) {
+      return Error{"memory '" + ann.name + "' declares " + std::to_string(ann.size) +
+                       " buckets, more than 2^31",
                    "line " + std::to_string(ann.line), ErrorCode::SemanticError};
     }
     if (named(anns, i, ann.name)) {
