@@ -37,9 +37,10 @@ dp::DataplaneSpec chain_spec(int length) {
   return spec;
 }
 
-std::string cache_source(std::uint32_t mem_buckets = 64) {
+std::string cache_source(std::uint32_t mem_buckets = 64,
+                         const std::string& name = "cache") {
   apps::ProgramConfig config;
-  config.instance_name = "cache";
+  config.instance_name = name;
   config.mem_buckets = mem_buckets;
   return apps::make_program_source("cache", config);
 }
@@ -293,6 +294,49 @@ TEST_P(ChainFaultMatrix, RevokeFaultSweepRestoresProgramChainWide) {
       EXPECT_EQ(bed.controller.resources(h).total_memory_utilization(), 0.0);
       EXPECT_EQ(bed.controller.resources(h).total_entry_utilization(), 0.0);
     }
+  }
+}
+
+TEST_P(ChainFaultMatrix, DefragMoveFaultSweepLeavesTheProgramInPlace) {
+  const int length = this->length();
+  for (int hop = 0; hop < length; ++hop) {
+    SCOPED_TRACE("faulted hop " + std::to_string(hop));
+    ChainBed bed(length);
+    bed.controller.set_async_writes(async());
+    // Revoking `a` leaves a hole in front of `b` on every hop: moving `b` is
+    // the one move that gains.
+    auto a = bed.controller.link(cache_source(64, "a"));
+    auto b = bed.controller.link(cache_source(64, "b"));
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(bed.controller.revoke(a.value().id).ok());
+    const ProgramId id = b.value().id;
+    for (MemAddr addr = 0; addr < 8; ++addr) {
+      ASSERT_TRUE(bed.controller.write_memory(id, "mem1", addr, 500 + addr).ok());
+    }
+    const ChainSnapshot before = capture(bed);
+
+    int fault = 0;
+    for (;; ++fault) {
+      ASSERT_LT(fault, 10'000);
+      bed.controller.updates(hop).set_fault_after_writes(fault);
+      auto report = bed.controller.defragment();
+      ASSERT_TRUE(report.ok()) << report.error().str();
+      if (!report.value().moves.empty()) break;
+      EXPECT_EQ(report.value().failed_moves, 1) << "fault at write index " << fault;
+      EXPECT_TRUE(capture(bed) == before)
+          << "chain state diverged after a move fault at hop " << hop
+          << " write index " << fault;
+      for (int h = 0; h < length; ++h) {
+        ASSERT_NE(bed.controller.program_at(h, id), nullptr) << "program missing on hop " << h;
+      }
+      const std::uint64_t claimed = bed.controller.program_packets(id);
+      EXPECT_EQ(bed.chain.inject(cache_read(0x8888)).fate, rmt::PacketFate::Returned);
+      EXPECT_EQ(bed.controller.program_packets(id), claimed + 1);
+    }
+    disarm_all(bed);
+    // The sweep reached the removal half: the copy's install is 19 writes.
+    EXPECT_GT(fault, 19);
+    EXPECT_EQ(bed.controller.program_count(), 1u);
   }
 }
 

@@ -17,9 +17,10 @@
 namespace p4runpro {
 namespace {
 
-std::string cache_source(std::uint32_t mem_buckets = 64) {
+std::string cache_source(std::uint32_t mem_buckets = 64,
+                         const std::string& name = "cache") {
   apps::ProgramConfig config;
-  config.instance_name = "cache";
+  config.instance_name = name;
   config.mem_buckets = mem_buckets;
   return apps::make_program_source("cache", config);
 }
@@ -215,6 +216,44 @@ TEST_P(DeployTxnFaults, RevokeFaultRestoresTheProgram) {
   EXPECT_GT(fault, 2);
   bed.controller.updates().set_fault_after_writes(-1);
   EXPECT_EQ(bed.controller.program_count(), 0u);
+}
+
+TEST_P(DeployTxnFaults, DefragMoveFaultSweepLeavesTheProgramInPlace) {
+  Testbed& bed = this->bed;
+  // Revoking `a` leaves a hole in front of `b`: moving `b` is the one move
+  // that gains, so a failed move leaves no other candidate.
+  auto a = bed.controller.link_single(cache_source(64, "a"));
+  auto b = bed.controller.link_single(cache_source(64, "b"));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(bed.controller.revoke(a.value().id).ok());
+  const ProgramId id = b.value().id;
+  for (MemAddr addr = 0; addr < 8; ++addr) {
+    ASSERT_TRUE(bed.controller.write_memory(id, "mem1", addr, 500 + addr).ok());
+  }
+  const StateSnapshot before = capture(bed.dataplane, bed.controller);
+
+  // A move is one transaction: the copy's install, then the old copy's
+  // removal. A fault in either half fails the move and leaves `b` exactly
+  // where it was, under its id, claiming its traffic.
+  int fault = 0;
+  for (;; ++fault) {
+    ASSERT_LT(fault, 10'000);
+    bed.controller.updates().set_fault_after_writes(fault);
+    auto report = bed.controller.defragment();
+    ASSERT_TRUE(report.ok()) << report.error().str();
+    if (!report.value().moves.empty()) break;
+    EXPECT_EQ(report.value().failed_moves, 1) << "fault at write index " << fault;
+    EXPECT_TRUE(capture(bed.dataplane, bed.controller) == before)
+        << "state diverged after a move fault at write index " << fault;
+    ASSERT_NE(bed.controller.program(id), nullptr);
+    const std::uint64_t claimed = bed.controller.program_packets(id);
+    EXPECT_EQ(bed.dataplane.inject(cache_read(0x8888)).fate, rmt::PacketFate::Returned);
+    EXPECT_EQ(bed.controller.program_packets(id), claimed + 1);
+  }
+  bed.controller.updates().set_fault_after_writes(-1);
+  // The sweep reached the removal half: the copy's install is 19 writes.
+  EXPECT_GT(fault, 19);
+  EXPECT_EQ(bed.controller.program_count(), 1u);
 }
 
 TEST(DeployTxn, FailedDeploysDoNotBurnProgramIds) {
