@@ -15,6 +15,14 @@ namespace {
 /// measures for parsing on the switch CPU (§6.2.1).
 constexpr double kParseChargeMs = 2.0;
 
+/// A session solves against a resource snapshot off-lock; by commit time
+/// another session may have taken those resources. On such a reservation
+/// conflict the session re-snapshots and re-solves, up to this many extra
+/// attempts, before giving up with the conflict error. A hard cap on the
+/// retry spin: every extra attempt bumps "ctrl.link.retries", so an
+/// oversubscribed switch shows up as a counter, not as livelock.
+constexpr int kMaxSolveRetries = 3;
+
 // A session's resource demand is computable straight from the IR — before
 // solving — and equals the committed footprint exactly (reserve takes
 // ir.vmem_sizes words per vmem and one entry per node / per branch case).
@@ -459,22 +467,20 @@ void Controller::forget_locked(ProgramId id) {
 }
 
 std::vector<Result<LinkResult>> Controller::link_many(
-    const std::vector<std::string>& sources, common::ThreadPool& pool,
-    ParallelLinkOptions options) {
+    const std::vector<std::string>& sources, common::ThreadPool& pool) {
   std::vector<SessionSpec> sessions;
   sessions.reserve(sources.size());
   for (const auto& source : sources) sessions.push_back(SessionSpec{source, 0});
-  return link_many(sessions, pool, options);
+  return link_many(sessions, pool);
 }
 
 std::vector<Result<LinkResult>> Controller::link_many(
-    const std::vector<SessionSpec>& sessions, common::ThreadPool& pool,
-    ParallelLinkOptions options) {
+    const std::vector<SessionSpec>& sessions, common::ThreadPool& pool) {
   std::vector<std::future<Result<LinkResult>>> futures;
   futures.reserve(sessions.size());
   for (const auto& session : sessions) {
     futures.push_back(pool.submit(
-        [this, &session, options] { return link_session(session, options); }));
+        [this, &session] { return link_session(session); }));
   }
   std::vector<Result<LinkResult>> results;
   results.reserve(futures.size());
@@ -482,8 +488,7 @@ std::vector<Result<LinkResult>> Controller::link_many(
   return results;
 }
 
-Result<LinkResult> Controller::link_session(const SessionSpec& session,
-                                            ParallelLinkOptions options) {
+Result<LinkResult> Controller::link_session(const SessionSpec& session) {
   // Compile + translate off-lock: pure compute over the source text. No
   // telemetry — the tracer and clock are shared state behind mu_.
   auto compiled = rp::compile_source(session.source, nullptr);
@@ -511,7 +516,7 @@ Result<LinkResult> Controller::link_session(const SessionSpec& session,
   }
   const double queue_wait_ms = wait_timer.elapsed_ms();
 
-  auto result = link_session_admitted(ir, tenant, options);
+  auto result = link_session_admitted(ir, tenant);
   admission_.release();
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -521,9 +526,8 @@ Result<LinkResult> Controller::link_session(const SessionSpec& session,
   return result;
 }
 
-Result<LinkResult> Controller::link_session_admitted(
-    const rp::TranslatedProgram& ir, TenantId tenant,
-    ParallelLinkOptions options) {
+Result<LinkResult> Controller::link_session_admitted(const rp::TranslatedProgram& ir,
+                                                    TenantId tenant) {
   // Quota gate: charge the session's full demand up front (demand equals
   // the committed footprint exactly, see memory_demand; once per program,
   // however many hops mirror it) and refund on every failure path.
@@ -550,7 +554,7 @@ Result<LinkResult> Controller::link_session_admitted(
 
   Error conflict{"parallel link: retries exhausted", "Controller",
                  ErrorCode::AllocFailed};
-  for (int attempt = 0; attempt <= options.max_solve_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxSolveRetries; ++attempt) {
     // Solve against per-hop snapshots off-lock (the expensive phase runs in
     // parallel across sessions).
     std::vector<ResourceManager::Snapshot> snaps;
@@ -573,7 +577,7 @@ Result<LinkResult> Controller::link_session_admitted(
         ir, 0,
         Solved{std::move(allocs),
                fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : solve_ms},
-        &session, attempt < options.max_solve_retries ? &retry : nullptr);
+        &session, attempt < kMaxSolveRetries ? &retry : nullptr);
     if (retry) {
       // Re-snapshot and re-solve (after compacting, with auto-defrag on).
       // Bounded like every retry — a genuinely full switch still exhausts

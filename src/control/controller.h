@@ -82,17 +82,6 @@ struct ControlEvent {
   std::string detail;  ///< error text (with its [ErrorCode]) for *Failed kinds
 };
 
-/// Tuning for link_many's concurrent sessions.
-struct ParallelLinkOptions {
-  /// A session solves against a resource snapshot off-lock; by commit time
-  /// another session may have taken those resources. On such a reservation
-  /// conflict the session re-snapshots and re-solves, up to this many extra
-  /// attempts, before giving up with the conflict error. This is a hard cap
-  /// on the retry spin: every extra attempt bumps "ctrl.link.retries", so an
-  /// oversubscribed switch shows up as a counter, not as livelock.
-  int max_solve_retries = 3;
-};
-
 /// One concurrent link session: a single-program source unit tagged with the
 /// tenant whose quota and fair share it runs under (0 = default tenant).
 struct SessionSpec {
@@ -136,21 +125,18 @@ class Controller {
   /// (results[i] belongs to sources[i]); each failure is per-session and
   /// rolls back only its own transaction.
   std::vector<Result<LinkResult>> link_many(const std::vector<std::string>& sources,
-                                            common::ThreadPool& pool,
-                                            ParallelLinkOptions options = {});
+                                            common::ThreadPool& pool);
   /// Tenant-attributed variant: every session passes admission (bounded
   /// in-flight reservations, weighted fair queuing, shed past the queue
   /// bound with ErrorCode::AdmissionShed) and its tenant's quota gate
   /// (ErrorCode::QuotaExceeded) before reserving.
   std::vector<Result<LinkResult>> link_many(const std::vector<SessionSpec>& sessions,
-                                            common::ThreadPool& pool,
-                                            ParallelLinkOptions options = {});
+                                            common::ThreadPool& pool);
   /// One admission-gated link session (the unit link_many maps over a
   /// pool). Safe to call concurrently from any thread — this is the
   /// entry point for callers that drive their own session threads (e.g.
   /// bench/tenant_churn measuring per-session latency).
-  Result<LinkResult> link_session(const SessionSpec& session,
-                                  ParallelLinkOptions options = {});
+  Result<LinkResult> link_session(const SessionSpec& session);
 
   /// Incremental update (paper §7): atomically replace a running program
   /// with a new version compiled from `source`, preserving the contents of
@@ -358,8 +344,7 @@ class Controller {
   /// gate, off-lock solve, locked deploy, retry loop). The caller
   /// (link_session) owns the grant and releases it afterwards.
   Result<LinkResult> link_session_admitted(const rp::TranslatedProgram& ir,
-                                           TenantId tenant,
-                                           ParallelLinkOptions options);
+                                           TenantId tenant);
   /// The one deploy body: stage_locked, then commit_locked (a fault is
   /// audited and returns the id). Does NOT adopt the program.
   Result<Staged> deploy_locked(const rp::TranslatedProgram& ir, ProgramId replacing,
