@@ -3,8 +3,8 @@
 // full link path. These quantify the "allocation delay is insensitive to
 // allocated resources but grows with AST depth" claim (§6.2.1).
 //
-// BM_CompileCatalog/<i> compiles catalog program i the way a link session
-// does (`compile_source(src, nullptr)`) and reports `allocs`, the global
+// BM_CompileCatalog/<i> compiles catalog program i the way a link does
+// (`compile_source(src, &report)`) and reports `allocs`, the global
 // operator new calls per compile, counted by the allocator this binary
 // replaces (this binary only).
 #include <benchmark/benchmark.h>
@@ -75,7 +75,7 @@ void BM_Translate(benchmark::State& state) {
   const char* kKeys[] = {"l3", "cache", "hh", "hll"};
   const std::string src = source_for(kKeys[state.range(0)]);
   for (auto _ : state) {
-    auto program = rp::compile_source(src, &obs::default_telemetry());
+    auto program = rp::compile_source(src);
     benchmark::DoNotOptimize(program);
   }
 }
@@ -86,8 +86,9 @@ void BM_CompileCatalog(benchmark::State& state) {
   const auto& info = apps::program_catalog()[static_cast<std::size_t>(state.range(0))];
   const std::string src = source_for(info.key);
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  rp::CompileReport report;
   for (auto _ : state) {
-    auto programs = rp::compile_source(src, nullptr);
+    auto programs = rp::compile_source(src, &report);
     benchmark::DoNotOptimize(programs);
   }
   const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
@@ -108,8 +109,7 @@ void BM_Solve(benchmark::State& state) {
                                      rp::ObjectiveKind::Hierarchical};
   rp::Objective objective{kinds[state.range(0)], 0.7, 0.3};
   for (auto _ : state) {
-    auto alloc = rp::solve_allocation(program.value(), spec, snapshot, objective,
-                                      &obs::default_telemetry());
+    auto alloc = rp::solve_allocation(program.value(), spec, snapshot, objective);
     benchmark::DoNotOptimize(alloc);
   }
 }

@@ -1,45 +1,45 @@
 #include "compiler/compiler.h"
 
+#include "common/clock.h"
 #include "compiler/semcheck.h"
 #include "compiler/translate.h"
 #include "lang/parser.h"
-#include "obs/telemetry.h"
 
 namespace p4runpro::rp {
 
 Result<std::vector<TranslatedProgram>> compile_source(std::string_view source,
-                                                      obs::Telemetry* telemetry) {
-  auto parse_span = obs::span(telemetry, "parse", "compiler");
-  parse_span.arg("source_bytes", static_cast<std::uint64_t>(source.size()));
+                                                      CompileReport* report) {
+  CompileReport local;
+  CompileReport& r = report != nullptr ? *report : local;
+  r = CompileReport{};
+  WallTimer timer;
   auto unit = lang::parse(source);
   if (!unit.ok()) {
-    if (telemetry != nullptr) telemetry->metrics.counter("compiler.parse_errors").inc();
+    r.failed = CompileReport::Layer::Parse;
+    r.parse_ms = timer.elapsed_ms();
     return unit.error();
   }
   if (auto s = check_unit(unit.value()); !s.ok()) {
-    if (telemetry != nullptr) telemetry->metrics.counter("compiler.check_errors").inc();
+    r.failed = CompileReport::Layer::Check;
+    r.parse_ms = timer.elapsed_ms();
     return s.error();
   }
-  parse_span.arg("programs", static_cast<std::uint64_t>(unit.value().programs.size()));
-  parse_span.end();
+  r.programs = unit.value().programs.size();
+  r.parse_ms = timer.elapsed_ms();
 
-  auto translate_span = obs::span(telemetry, "translate", "compiler");
+  timer.restart();
   std::vector<TranslatedProgram> out;
   out.reserve(unit.value().programs.size());
   for (const auto& decl : unit.value().programs) {
     auto translated = translate(unit.value(), decl);
     if (!translated.ok()) {
-      if (telemetry != nullptr) {
-        telemetry->metrics.counter("compiler.translate_errors").inc();
-      }
+      r.failed = CompileReport::Layer::Translate;
+      r.translate_ms = timer.elapsed_ms();
       return translated.error();
     }
     out.push_back(std::move(translated).take());
   }
-  translate_span.end();
-  if (telemetry != nullptr) {
-    telemetry->metrics.counter("compiler.programs_compiled").inc(out.size());
-  }
+  r.translate_ms = timer.elapsed_ms();
   return out;
 }
 

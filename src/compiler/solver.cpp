@@ -4,8 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "obs/telemetry.h"
-
 namespace p4runpro::rp {
 
 namespace {
@@ -319,9 +317,7 @@ const char* objective_name(ObjectiveKind kind) noexcept {
   return "?";
 }
 
-namespace {
-
-Result<AllocationResult> solve_allocation_impl(
+Result<AllocationResult> solve_allocation(
     const TranslatedProgram& program, const dp::DataplaneSpec& spec,
     const ctrl::ResourceManager::Snapshot& snapshot, const Objective& objective) {
   if (program.depth == 0) return Error{"empty program", "solver", ErrorCode::SemanticError};
@@ -415,29 +411,6 @@ Result<AllocationResult> solve_allocation_impl(
   result.rounds = dp::recirc_round(result.x.back(), spec.total_rpbs()) + 1;
   result.objective = best_obj;
   result.nodes_explored = search.nodes_explored();
-  return result;
-}
-
-}  // namespace
-
-Result<AllocationResult> solve_allocation(
-    const TranslatedProgram& program, const dp::DataplaneSpec& spec,
-    const ctrl::ResourceManager::Snapshot& snapshot, const Objective& objective,
-    obs::Telemetry* telemetry) {
-  auto result = solve_allocation_impl(program, spec, snapshot, objective);
-  if (telemetry != nullptr) {
-    auto& m = telemetry->metrics;
-    m.counter("compiler.solver.calls").inc();
-    if (result.ok()) {
-      static const std::vector<double> kCountBounds = obs::Histogram::count_bounds();
-      m.histogram("compiler.solver.nodes_explored", kCountBounds)
-          .observe(static_cast<double>(result.value().nodes_explored));
-      m.histogram("compiler.solver.rounds", kCountBounds)
-          .observe(static_cast<double>(result.value().rounds));
-    } else {
-      m.counter("compiler.solver.infeasible").inc();
-    }
-  }
   return result;
 }
 

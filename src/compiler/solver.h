@@ -28,10 +28,6 @@
 #include "control/resource_manager.h"
 #include "dataplane/dataplane_spec.h"
 
-namespace p4runpro::obs {
-struct Telemetry;
-}
-
 namespace p4runpro::rp {
 
 /// Objective function selection (Fig. 12).
@@ -60,11 +56,12 @@ struct AllocationResult {
 
 /// Solve the allocation for `program` against the free-resource snapshot.
 /// Fails when no feasible assignment exists (allocation failure, the
-/// stopping condition of Figs. 8/9/12). With a telemetry bundle, records
-/// "compiler.solver.*" counters and the search-effort histogram.
+/// stopping condition of Figs. 8/9/12). Pure: any thread may call it on its
+/// own snapshot. It reports nothing itself; the search effort comes back in
+/// `nodes_explored`, and the controller records the "solve" span and the
+/// compiler.solver.* metrics under its session lock.
 [[nodiscard]] Result<AllocationResult> solve_allocation(
     const TranslatedProgram& program, const dp::DataplaneSpec& spec,
-    const ctrl::ResourceManager::Snapshot& snapshot, const Objective& objective,
-    obs::Telemetry* telemetry = nullptr);
+    const ctrl::ResourceManager::Snapshot& snapshot, const Objective& objective);
 
 }  // namespace p4runpro::rp

@@ -296,14 +296,77 @@ Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source,
 Result<std::vector<rp::TranslatedProgram>> Controller::compile_locked(
     std::string_view source, bool single) {
   // Parse + check + translate, charged to the simulated clock at the
-  // paper's parse time. compile_source emits the "parse" and "translate"
-  // spans.
-  auto compiled = rp::compile_source(source, telemetry_);
+  // paper's parse time.
+  Compiled compiled = compile(source);
+  record_compile_locked(compiled);
   clock_.advance_ms(kParseChargeMs);
-  const Status unit = unit_status(compiled, single);
-  if (unit.ok()) return compiled;
+  const Status unit = unit_status(compiled.programs, single);
+  if (unit.ok()) return std::move(compiled.programs);
   record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
   return unit.error();
+}
+
+Controller::Compiled Controller::compile(std::string_view source) {
+  rp::CompileReport report;
+  auto programs = rp::compile_source(source, &report);
+  return Compiled{std::move(programs), report, source.size()};
+}
+
+void Controller::record_compile_locked(const Compiled& compiled) {
+  using Layer = rp::CompileReport::Layer;
+  const rp::CompileReport& report = compiled.report;
+  auto& tracer = telemetry_->tracer;
+  const SimClock::Nanos now_ns = clock_.now_ns();
+  const std::uint64_t trace = telemetry_->active_trace.trace_id;
+  // Args only for a span the tracer keeps, as for the channel's bfrt spans.
+  std::vector<std::pair<std::string, std::string>> args;
+  if (!tracer.full()) {
+    args.emplace_back("source_bytes", std::to_string(compiled.source_bytes));
+    if (report.checked()) args.emplace_back("programs", std::to_string(report.programs));
+  }
+  tracer.record_span("parse", "compiler", now_ns, now_ns, trace, std::move(args),
+                     report.parse_ms);
+  if (report.checked()) {
+    tracer.record_span("translate", "compiler", now_ns, now_ns, trace, {},
+                       report.translate_ms);
+  }
+  auto& m = telemetry_->metrics;
+  switch (report.failed) {
+    case Layer::None: m.counter("compiler.programs_compiled").inc(report.programs); break;
+    case Layer::Parse: m.counter("compiler.parse_errors").inc(); break;
+    case Layer::Check: m.counter("compiler.check_errors").inc(); break;
+    case Layer::Translate: m.counter("compiler.translate_errors").inc(); break;
+  }
+}
+
+double Controller::record_solve_locked(const Solved& solved) {
+  // Allocation delay (§6.2.1): the solver's measured wall time, unless a
+  // fixed charge makes the run deterministic in virtual time.
+  const double charge_ms =
+      fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : *solved.wall_ms;
+  const SimClock::Nanos start_ns = clock_.now_ns();
+  clock_.advance_ms(charge_ms);
+  auto& tracer = telemetry_->tracer;
+  std::vector<std::pair<std::string, std::string>> args;
+  if (!tracer.full() && solved.allocs.ok()) {
+    const rp::AllocationResult& alloc = solved.allocs.value().front();
+    args.emplace_back("nodes_explored", std::to_string(alloc.nodes_explored));
+    args.emplace_back("rounds", std::to_string(alloc.rounds));
+  }
+  tracer.record_span("solve", "ctrl", start_ns, clock_.now_ns(),
+                     telemetry_->active_trace.trace_id, std::move(args), *solved.wall_ms);
+  auto& m = telemetry_->metrics;
+  m.counter("compiler.solver.calls").inc();
+  if (solved.hop0) {
+    static const std::vector<double> kCountBounds = obs::Histogram::count_bounds();
+    m.histogram("compiler.solver.nodes_explored", kCountBounds)
+        .observe(static_cast<double>(solved.hop0->first));
+    m.histogram("compiler.solver.rounds", kCountBounds)
+        .observe(static_cast<double>(solved.hop0->second));
+  } else {
+    m.counter("compiler.solver.infeasible").inc();
+  }
+  return charge_ms;
 }
 
 Error Controller::fail_locked(ProgramId id, const std::string& name, int faulted_hop,
@@ -358,23 +421,14 @@ Result<Controller::Staged> Controller::stage_locked(const rp::TranslatedProgram&
   // the serial entry points, which solve here, emit the §6.2 phase spans
   // ("solve", "install") under their root span.
   const bool phase_spans = !solved;
-  obs::SpanTracer::Scope solve_span;
+  if (phase_spans) solved.emplace(solve(ir, snapshots()));
+  double alloc_ms = 0.0;
   if (phase_spans) {
-    solve_span = telemetry_->tracer.span("solve", "ctrl");
-    WallTimer timer;
-    auto allocs = solve_hops(ir, snapshots(), telemetry_);
-    solved.emplace(Solved{std::move(allocs), fixed_alloc_charge_ms_
-                                                 ? *fixed_alloc_charge_ms_
-                                                 : timer.elapsed_ms()});
+    alloc_ms = record_solve_locked(*solved);
+  } else if (solved->wall_ms) {
+    alloc_ms = fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : *solved->wall_ms;
+    clock_.advance_ms(alloc_ms);
   }
-  const double alloc_ms = solved->charge_ms;
-  clock_.advance_ms(alloc_ms);
-  if (solved->allocs.ok()) {
-    const rp::AllocationResult& alloc = solved->allocs.value().front();
-    solve_span.arg("nodes_explored", alloc.nodes_explored);
-    solve_span.arg("rounds", static_cast<std::uint64_t>(alloc.rounds));
-  }
-  solve_span.end();
   if (!solved->allocs.ok()) {
     // With auto-defrag the snapshot had the words but not the contiguity:
     // the caller compacts and burns a retry on the improved memory map.
@@ -491,7 +545,7 @@ std::vector<Result<LinkResult>> Controller::link_many(
 Result<LinkResult> Controller::link_session(const SessionSpec& session) {
   // Compile + translate off-lock: pure compute over the source text. No
   // telemetry — the tracer and clock are shared state behind mu_.
-  auto compiled = rp::compile_source(session.source, nullptr);
+  auto compiled = rp::compile_source(session.source);
   if (const Status unit = unit_status(compiled, /*single=*/true); !unit.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     clock_.advance_ms(kParseChargeMs);
@@ -562,9 +616,7 @@ Result<LinkResult> Controller::link_session_admitted(const rp::TranslatedProgram
       std::lock_guard<std::mutex> lock(mu_);
       snaps = snapshots();
     }
-    WallTimer timer;
-    auto allocs = solve_hops(ir, snaps, nullptr);
-    const double solve_ms = timer.elapsed_ms();
+    Solved solved = solve(ir, snaps);
 
     // Reservation + staged commit serialize under the session lock; the
     // clock, telemetry and audit log are only touched here. The trace scope
@@ -573,11 +625,8 @@ Result<LinkResult> Controller::link_session_admitted(const rp::TranslatedProgram
     Session session(*this);
     if (attempt == 0) clock_.advance_ms(kParseChargeMs);  // once per session
     bool retry = false;
-    auto deployed = deploy_locked(
-        ir, 0,
-        Solved{std::move(allocs),
-               fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : solve_ms},
-        &session, attempt < kMaxSolveRetries ? &retry : nullptr);
+    auto deployed = deploy_locked(ir, 0, std::move(solved), &session,
+                                  attempt < kMaxSolveRetries ? &retry : nullptr);
     if (retry) {
       // Re-snapshot and re-solve (after compacting, with auto-defrag on).
       // Bounded like every retry — a genuinely full switch still exhausts
@@ -692,13 +741,14 @@ Status Controller::revoke_locked(ProgramId id, Session* park) {
   return {};
 }
 
-Result<std::vector<rp::AllocationResult>> Controller::solve_hops(
+Controller::Solved Controller::solve(
     const rp::TranslatedProgram& ir,
-    const std::vector<ResourceManager::Snapshot>& snapshots,
-    obs::Telemetry* telemetry) {
+    const std::vector<ResourceManager::Snapshot>& snapshots) const {
   // Occupancies evolve in lockstep and the solver is deterministic, so a hop
   // whose books equal hop 0's takes hop 0's answer. A hop whose books differ
   // is solved on its own; check_chain rejects an answer that differs.
+  const WallTimer timer;
+  std::optional<std::pair<std::uint64_t, int>> hop0;
   std::vector<rp::AllocationResult> allocs;
   allocs.reserve(hops_.size());
   for (std::size_t h = 0; h < hops_.size(); ++h) {
@@ -706,12 +756,13 @@ Result<std::vector<rp::AllocationResult>> Controller::solve_hops(
       allocs.push_back(allocs.front());
       continue;
     }
-    auto alloc = rp::solve_allocation(ir, hops_[h]->dataplane.spec(), snapshots[h],
-                                      objective_, h == 0 ? telemetry : nullptr);
-    if (!alloc.ok()) return alloc.error();
+    auto alloc =
+        rp::solve_allocation(ir, hops_[h]->dataplane.spec(), snapshots[h], objective_);
+    if (!alloc.ok()) return Solved{alloc.error(), timer.elapsed_ms(), hop0};
+    if (h == 0) hop0.emplace(alloc.value().nodes_explored, alloc.value().rounds);
     allocs.push_back(std::move(alloc).take());
   }
-  return allocs;
+  return Solved{std::move(allocs), timer.elapsed_ms(), hop0};
 }
 
 Status Controller::check_chain(const rp::TranslatedProgram& ir,
@@ -958,8 +1009,8 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
     const rp::TranslatedProgram ir = at(0).programs.at(best_id).ir;
     std::vector<rp::AllocationResult> stored;
     for (const auto& hop : hops_) stored.push_back(hop->programs.at(best_id).alloc);
-    auto moved = replace_locked(best_id, ir, Solved{std::move(stored), 0.0},
-                                "defrag move");
+    auto moved = replace_locked(
+        best_id, ir, Solved{std::move(stored), std::nullopt, std::nullopt}, "defrag move");
     if (!moved.ok()) {
       // Rolled back (injected fault or transient entry pressure): state is
       // exactly as before the attempt. Skip the program for this pass.

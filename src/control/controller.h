@@ -313,12 +313,22 @@ class Controller {
     std::unique_ptr<ChainTransaction> txn;
   };
 
-  /// Per-hop allocations solved before the deploy body runs (off-lock
-  /// session solves, or a defrag move's stored allocation), with the
-  /// virtual ms to charge for them.
+  /// A source unit through the pure compiler, with what it measured.
+  struct Compiled {
+    Result<std::vector<rp::TranslatedProgram>> programs;
+    rp::CompileReport report;
+    std::size_t source_bytes = 0;
+  };
+
+  /// Per-hop allocations for one deploy: a fresh solve, or a defrag move's
+  /// stored allocation (no wall time: it charges nothing and records no
+  /// solve).
   struct Solved {
     Result<std::vector<rp::AllocationResult>> allocs;
-    double charge_ms = 0.0;
+    std::optional<double> wall_ms;  ///< the fresh solve's measured wall time
+    /// Hop 0's search, the one the compiler.solver.* metrics count: nodes
+    /// explored and rounds; unset when hop 0 found no allocation.
+    std::optional<std::pair<std::uint64_t, int>> hop0;
   };
 
   /// The locked part of one control operation: session lock, trace scope
@@ -340,6 +350,17 @@ class Controller {
   /// LinkFailed "<compile>".
   Result<std::vector<rp::TranslatedProgram>> compile_locked(std::string_view source,
                                                             bool single);
+  /// Compile `source` on the calling thread (the compiler is pure).
+  [[nodiscard]] static Compiled compile(std::string_view source);
+  /// Record a compile under the lock: the "parse" and "translate" spans, at
+  /// the current virtual instant with the measured wall times, and the
+  /// compiler.* counters.
+  void record_compile_locked(const Compiled& compiled);
+  /// Record a fresh solve under the lock: charge the allocation delay (the
+  /// fixed charge, else the measured wall time) to the clock, record the
+  /// "solve" span over it and the compiler.solver.* metrics. Returns the
+  /// charged ms.
+  double record_solve_locked(const Solved& solved);
   /// Admitted session body: everything after the admission grant (quota
   /// gate, off-lock solve, locked deploy, retry loop). The caller
   /// (link_session) owns the grant and releases it afterwards.
@@ -379,13 +400,11 @@ class Controller {
   /// Audited revoke: a transaction of remove records (`park`, may be null,
   /// parks an async removal off-lock under the busy guard).
   Status revoke_locked(ProgramId id, Session* park);
-  /// Per-hop allocations of `ir` against `snapshots`, on the calling thread:
-  /// one solve of hop 0 (with `telemetry`) serves every hop whose snapshot
-  /// equals hop 0's; a hop whose books differ is solved on its own.
-  Result<std::vector<rp::AllocationResult>> solve_hops(
-      const rp::TranslatedProgram& ir,
-      const std::vector<ResourceManager::Snapshot>& snapshots,
-      obs::Telemetry* telemetry);
+  /// Per-hop allocations of `ir` against `snapshots`, timed, on the calling
+  /// thread (the solver is pure): one solve of hop 0 serves every hop whose
+  /// snapshot equals hop 0's; a hop whose books differ is solved on its own.
+  [[nodiscard]] Solved solve(const rp::TranslatedProgram& ir,
+                             const std::vector<ResourceManager::Snapshot>& snapshots) const;
   /// Chain-only checks: per-hop allocations agree, the program is chain
   /// compatible and needs no more rounds than there are hops.
   [[nodiscard]] Status check_chain(const rp::TranslatedProgram& ir,

@@ -78,7 +78,8 @@ SpanTracer::Scope SpanTracer::span(std::string_view name, std::string_view cat) 
 void SpanTracer::record_span(std::string_view name, std::string_view cat,
                              SimClock::Nanos start_vns, SimClock::Nanos end_vns,
                              std::uint64_t trace,
-                             std::vector<std::pair<std::string, std::string>> args) {
+                             std::vector<std::pair<std::string, std::string>> args,
+                             double wall_ms) {
   if (full()) {
     ++dropped_;
     return;
@@ -93,8 +94,8 @@ void SpanTracer::record_span(std::string_view name, std::string_view cat,
   record.trace = trace;
   record.start_vns = start_vns;
   record.end_vns = end_vns;
-  record.start_wall_ms = wall_.elapsed_ms();
-  record.wall_ms = 0.0;  // retrospective record: no wall duration to report
+  record.start_wall_ms = wall_.elapsed_ms() - wall_ms;
+  record.wall_ms = wall_ms;
   record.open = false;
   record.args = std::move(args);
   spans_.push_back(std::move(record));

@@ -100,17 +100,23 @@ class SpanTracer {
   /// open descendants at the same instant.
   [[nodiscard]] Scope span(std::string_view name, std::string_view cat = "");
 
-  /// Record an already-completed span with explicit virtual start/end times
-  /// and an explicit trace id. Used by the async control channel: the
-  /// writer thread charges batches off-thread, and the caller replays them
-  /// into the tracer at completion time, stamped with the trace id captured
-  /// at submission (not whatever context is active at finish). The record
+  /// Record an already-completed span with explicit virtual start/end times,
+  /// an explicit trace id and the wall duration it measured. The record
   /// parents under the currently open span and never anchors the active
-  /// trace context. Subject to the same capacity cap as span().
+  /// trace context. Subject to the same capacity cap as span(). Two users:
+  ///  - the async control channel: the writer thread charges batches
+  ///    off-thread, and the caller replays them at completion time, stamped
+  ///    with the trace id captured at submission (not whatever context is
+  ///    active at finish); a replay has no wall duration and leaves it 0;
+  ///  - the controller's compile and solve records: the pure compiler runs
+  ///    on any thread, and the controller records its "parse", "translate"
+  ///    and "solve" spans under the session lock with the wall time each
+  ///    layer measured.
   void record_span(std::string_view name, std::string_view cat,
                    SimClock::Nanos start_vns, SimClock::Nanos end_vns,
                    std::uint64_t trace,
-                   std::vector<std::pair<std::string, std::string>> args = {});
+                   std::vector<std::pair<std::string, std::string>> args = {},
+                   double wall_ms = 0.0);
 
   [[nodiscard]] const std::vector<SpanRecord>& spans() const noexcept { return spans_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
