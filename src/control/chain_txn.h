@@ -147,6 +147,7 @@ class ChainTransaction {
   void unwind_commit();
 
   [[nodiscard]] Phase phase() const noexcept { return phase_; }
+  [[nodiscard]] bool installs() const noexcept { return installs_ > 0; }  ///< not a revoke
   /// Hop whose reserve/commit failed; -1 while nothing faulted.
   [[nodiscard]] int faulted_hop() const noexcept { return faulted_hop_; }
   /// Hop `hop`'s installed program; valid only while Committed.

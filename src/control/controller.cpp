@@ -29,10 +29,7 @@ constexpr int kMaxSolveRetries = 3;
 // That exactness is what makes charge-at-admission quota accounting sound.
 [[nodiscard]] std::uint64_t memory_demand(const rp::TranslatedProgram& ir) {
   std::uint64_t words = 0;
-  for (const auto& [vmem, size] : ir.vmem_sizes) {
-    (void)vmem;
-    words += size;
-  }
+  for (const auto& vmem : ir.vmem_sizes) words += vmem.second;
   return words;
 }
 
@@ -50,6 +47,37 @@ constexpr int kMaxSolveRetries = 3;
                "Controller", ErrorCode::InvalidArgument};
 }
 
+/// The quota charges of one link's programs: each admitted at the gate
+/// (once per program, however many hops mirror it) and refunded on every
+/// failure path, until the installs keep them. Charging before reserving
+/// keeps the invariant one-sided: registry usage >= sum of installed
+/// footprints, so concurrent sessions can never oversubscribe a quota
+/// between check and commit. An unregistered tenant is unlimited.
+class QuotaCharges {
+ public:
+  QuotaCharges(TenantRegistry& tenants, TenantId tenant)
+      : tenants_(tenants), tenant_(tenant) {}
+  QuotaCharges(const QuotaCharges&) = delete;
+  QuotaCharges& operator=(const QuotaCharges&) = delete;
+  ~QuotaCharges() {
+    for (const auto* ir : charged_) {
+      tenants_.refund(tenant_, memory_demand(*ir), entry_demand(*ir));
+    }
+  }
+
+  Status admit(const rp::TranslatedProgram& ir) {
+    Status s = tenants_.admit(tenant_, memory_demand(ir), entry_demand(ir));
+    if (s.ok()) charged_.push_back(&ir);
+    return s;
+  }
+  void keep() { charged_.clear(); }
+
+ private:
+  TenantRegistry& tenants_;
+  TenantId tenant_;
+  std::vector<const rp::TranslatedProgram*> charged_;
+};
+
 [[nodiscard]] std::vector<dp::RunproDataplane*> switches_of(dp::SwitchChain& chain) {
   std::vector<dp::RunproDataplane*> switches;
   for (int h = 0; h < chain.length(); ++h) switches.push_back(&chain.switch_at(h));
@@ -60,7 +88,7 @@ constexpr int kMaxSolveRetries = 3;
 
 /// The locked part of one control operation. Holds the session lock, the
 /// operation's causal trace scope (the context is lock-protected shared
-/// state) and its lock-hold timer.
+/// state), its lock-hold timer and its root span.
 class Controller::Session {
  public:
   explicit Session(Controller& controller)
@@ -71,11 +99,19 @@ class Controller::Session {
 
   [[nodiscard]] std::uint64_t trace_id() const { return trace_->trace_id(); }
 
-  /// Run `wait` off-lock (an async write draining). The trace context never
-  /// stays installed off-lock; it is re-adopted after re-locking so the
-  /// finish-side spans carry this operation's id. No span may be open.
+  /// Open the operation's root span. It closes when the session ends, or
+  /// at a park.
+  void open(std::string_view name) { root_ = telemetry_->tracer.span(name, "ctrl"); }
+  [[nodiscard]] obs::SpanTracer::Scope& root() { return root_; }
+
+  /// Run `wait` off-lock (an async write draining). No span stays open
+  /// off-lock, where another session's spans would nest under it: the root
+  /// closes here, and every span still open under it with it. The trace
+  /// context never stays installed off-lock; it is re-adopted after
+  /// re-locking so the settle-side spans carry this operation's id.
   template <typename Wait>
   void park(Wait&& wait) {
+    root_.end();
     const obs::TraceContext ctx = telemetry_->active_trace;
     trace_.reset();
     hold_.pause();
@@ -91,6 +127,7 @@ class Controller::Session {
   std::unique_lock<std::mutex> lock_;
   std::optional<obs::TraceScope> trace_;
   LockHoldTimer hold_;
+  obs::SpanTracer::Scope root_;  ///< declared last: closes first, under the lock
 };
 
 Controller::Controller(dp::RunproDataplane& dataplane, SimClock& clock,
@@ -191,16 +228,6 @@ void Controller::record_event(ControlEvent::Kind kind, ProgramId id,
   if (counter != nullptr) telemetry_->metrics.counter(counter).inc();
 }
 
-void Controller::record_link_histograms(const LinkResult& result) {
-  // Route the deployment-delay breakdown (LinkStats) through the registry:
-  // the §6.2.1 quantities become queryable histograms.
-  auto& m = telemetry_->metrics;
-  m.histogram("ctrl.link.parse_ms").observe(result.stats.parse_ms);
-  m.histogram("ctrl.link.alloc_ms").observe(result.stats.alloc_ms);
-  m.histogram("ctrl.link.update_ms").observe(result.stats.update_ms);
-  m.histogram("ctrl.link.deploy_ms").observe(result.stats.deploy_ms());
-}
-
 void Controller::announce_commit(ProgramId id, const std::string& name) {
   if (chain_ != nullptr) {
     telemetry_->monitor.chain_txn_committed(id, name, length());
@@ -219,42 +246,166 @@ void Controller::announce_rollback(ProgramId id, const std::string& name,
   }
 }
 
+std::string Controller::op_name(std::string_view op) const {
+  return (chain_ != nullptr ? "chain_" : "") + std::string(op);
+}
+
 Result<std::vector<LinkResult>> Controller::link(std::string_view source) {
   Session session(*this);
-  auto results = link_locked(source, /*single=*/false);
-  if (results.ok()) {
-    for (auto& r : results.value()) r.trace = session.trace_id();
-  }
-  return results;
+  return link_locked(session, source, /*single=*/false);
 }
 
 Result<LinkResult> Controller::link_single(std::string_view source) {
   Session session(*this);
-  auto results = link_locked(source, /*single=*/true);
+  auto results = link_locked(session, source, /*single=*/true);
   if (!results.ok()) return results.error();
-  LinkResult result = std::move(results.value().front());
-  result.trace = session.trace_id();
+  return std::move(results.value().front());
+}
+
+Result<std::vector<LinkResult>> Controller::link_locked(Session& session,
+                                                        std::string_view source,
+                                                        bool single) {
+  // The link pipeline inline, under the session lock throughout.
+  session.open(op_name("link"));
+  const Compiled compiled = compile(source);
+  if (auto s = record_compile_locked(compiled, single, /*first=*/true); !s.ok()) {
+    return s.error();
+  }
+  const auto& programs = compiled.programs.value();
+  QuotaCharges charges(tenants_, 0);
+  for (const auto& ir : programs) {
+    if (auto s = charges.admit(ir); !s.ok()) return reject_quota_locked(ir.name, s.error());
+  }
+  auto linked = install_unit_locked(session, programs, {}, 0, /*parks=*/false, nullptr);
+  if (linked.ok()) charges.keep();
+  return linked;
+}
+
+std::vector<Result<LinkResult>> Controller::link_many(
+    const std::vector<std::string>& sources, common::ThreadPool& pool) {
+  std::vector<SessionSpec> sessions;
+  sessions.reserve(sources.size());
+  for (const auto& source : sources) sessions.push_back(SessionSpec{source, 0});
+  return link_many(sessions, pool);
+}
+
+std::vector<Result<LinkResult>> Controller::link_many(
+    const std::vector<SessionSpec>& sessions, common::ThreadPool& pool) {
+  std::vector<std::future<Result<LinkResult>>> futures;
+  futures.reserve(sessions.size());
+  for (const auto& session : sessions) {
+    futures.push_back(pool.submit([this, &session] { return link_session(session); }));
+  }
+  std::vector<Result<LinkResult>> results;
+  results.reserve(futures.size());
+  for (auto& future : futures) results.push_back(future.get());
+  return results;
+}
+
+Result<LinkResult> Controller::link_session(const SessionSpec& session) {
+  // Compile off-lock: the compiler is pure. What it measured is recorded
+  // under the lock, in the link it belongs to.
+  const Compiled compiled = compile(session.source);
+  if (!unit_status(compiled.programs, /*single=*/true).ok()) {
+    Session locked(*this);
+    locked.open(op_name("link"));
+    return record_compile_locked(compiled, /*single=*/true, /*first=*/true).error();
+  }
+  const rp::TranslatedProgram& ir = compiled.programs.value().front();
+  const TenantId tenant = session.tenant;
+
+  // Admission gate. The controller BLOCKS queued sessions (weighted fair
+  // order), so it runs strictly before mu_ is taken; a shed returns
+  // immediately with AdmissionShed instead of spinning retries against a
+  // saturated switch.
+  WallTimer wait_timer;
+  auto grant = admission_.acquire(tenant, tenants_.weight(tenant));
+  if (!grant.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    telemetry_->metrics.counter("ctrl.tenant.shed").inc();
+    telemetry_->monitor.admission_shed(tenant, ir.name, grant.error().str());
+    record_event(ControlEvent::Kind::LinkFailed, 0, ir.name, grant.error().str());
+    return grant.error();
+  }
+  const double queue_wait_ms = wait_timer.elapsed_ms();
+
+  auto result = link_session_admitted(compiled, tenant);
+  admission_.release();
+
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& m = telemetry_->metrics;
+  m.counter("ctrl.tenant.admitted").inc();
+  m.histogram("ctrl.tenant.queue_wait_ms").observe(queue_wait_ms);
   return result;
 }
 
-Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source,
-                                                        bool single) {
-  auto link_span =
-      telemetry_->tracer.span(chain_ != nullptr ? "chain_link" : "link", "ctrl");
-  const SimClock::Nanos parse_start_ns = clock_.now_ns();
-  auto compiled = compile_locked(source, single);
-  if (!compiled.ok()) return compiled.error();
-  const double parse_ms = static_cast<double>(clock_.now_ns() - parse_start_ns) / 1e6;
+Result<LinkResult> Controller::link_session_admitted(const Compiled& compiled,
+                                                    TenantId tenant) {
+  const rp::TranslatedProgram& ir = compiled.programs.value().front();
+  // The quota gate runs off-lock (the registry is a leaf lock), before the
+  // solve an over-quota session would waste.
+  QuotaCharges charges(tenants_, tenant);
+  if (auto s = charges.admit(ir); !s.ok()) {
+    Session session(*this);
+    session.open(op_name("link"));
+    (void)record_compile_locked(compiled, /*single=*/true, /*first=*/true);
+    return reject_quota_locked(ir.name, s.error());
+  }
 
+  Error conflict{"parallel link: retries exhausted", "Controller",
+                 ErrorCode::AllocFailed};
+  for (int attempt = 0; attempt <= kMaxSolveRetries; ++attempt) {
+    // Solve against per-hop snapshots off-lock (the expensive phase runs in
+    // parallel across sessions).
+    std::vector<ResourceManager::Snapshot> snaps;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      snaps = snapshots();
+    }
+    std::vector<Solved> solved;
+    solved.push_back(solve(ir, snaps));
+
+    // The rest of the pipeline runs under the session lock, one attempt per
+    // trace: each attempt is a whole link tree, and the successful
+    // attempt's id is the one the LinkResult reports.
+    Session session(*this);
+    session.open(op_name("link"));
+    (void)record_compile_locked(compiled, /*single=*/true, /*first=*/attempt == 0);
+    bool retry = false;
+    auto linked = install_unit_locked(session, compiled.programs.value(), std::move(solved),
+                                      tenant, /*parks=*/true,
+                                      attempt < kMaxSolveRetries ? &retry : nullptr);
+    if (retry) {
+      // Re-snapshot and re-solve (after compacting, with auto-defrag on).
+      // Bounded like every retry — a genuinely full switch still exhausts
+      // the cap and reports AllocFailed.
+      conflict = linked.error();
+      telemetry_->metrics.counter("ctrl.link.retries").inc();
+      if (auto_defrag_) defragment_locked(DefragOptions{});
+      continue;
+    }
+    if (!linked.ok()) return linked.error();
+    charges.keep();
+    return std::move(linked.value().front());
+  }
+  return conflict;
+}
+
+Result<std::vector<LinkResult>> Controller::install_unit_locked(
+    Session& session, const std::vector<rp::TranslatedProgram>& programs,
+    std::vector<Solved> solved, TenantId tenant, bool parks, bool* retry) {
   // All-or-nothing: stage every program of the unit (solve, reserve, plan)
   // before committing any. A program that cannot stage drops the staged
   // ones without a write; a commit fault un-commits the programs committed
-  // before it, which cannot fault (the single fault has fired).
-  const auto& programs = compiled.value();
+  // before it, which cannot fault (the single fault has fired). Without
+  // solutions brought in, each program is solved here, so it sees the
+  // programs staged before it.
   std::vector<Staged> unit;
   Status status;
-  for (const auto& ir : programs) {
-    auto staged = stage_locked(ir, 0, std::nullopt, nullptr);
+  for (std::size_t k = 0; k < programs.size(); ++k) {
+    const rp::TranslatedProgram& ir = programs[k];
+    auto staged = stage_locked(
+        ir, 0, solved.empty() ? solve(ir, snapshots()) : std::move(solved[k]), retry);
     if (!staged.ok()) {
       status = staged.error();
       break;
@@ -262,7 +413,7 @@ Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source,
     unit.push_back(std::move(staged).take());
   }
   for (std::size_t k = 0; status.ok() && k < unit.size(); ++k) {
-    status = commit_locked(unit[k], nullptr, /*phase_spans=*/true);
+    status = commit_locked(unit[k], parks ? &session : nullptr);
   }
   if (!status.ok()) {
     // Newest first, so every id is returned: un-commit or drop (the
@@ -278,32 +429,21 @@ Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source,
     return status.error();
   }
   std::vector<LinkResult> results;
-  for (std::size_t k = 0; k < unit.size(); ++k) {
-    adopt_locked(unit[k], 0);
-    // Unchecked charge: the serial paths bypass the quota gate (concurrent
-    // sessions charge at admission instead).
-    tenants_.charge(0, memory_demand(programs[k]), entry_demand(programs[k]));
-    record_event(ControlEvent::Kind::Link, unit[k].result.id, programs[k].name);
-    results.push_back(std::move(unit[k].result));
-    results.back().stats.parse_ms = parse_ms / static_cast<double>(programs.size());
+  auto& m = telemetry_->metrics;
+  for (Staged& staged : unit) {
+    adopt_locked(staged, tenant);
+    record_event(ControlEvent::Kind::Link, staged.result.id, staged.result.name);
+    LinkResult& result = results.emplace_back(std::move(staged.result));
+    result.stats.parse_ms = kParseChargeMs / static_cast<double>(unit.size());
+    result.trace = session.trace_id();
+    // The deployment-delay breakdown (§6.2.1) as queryable histograms.
+    m.histogram("ctrl.link.parse_ms").observe(result.stats.parse_ms);
+    m.histogram("ctrl.link.alloc_ms").observe(result.stats.alloc_ms);
+    m.histogram("ctrl.link.update_ms").observe(result.stats.update_ms);
+    m.histogram("ctrl.link.deploy_ms").observe(result.stats.deploy_ms());
   }
-
-  for (const auto& r : results) record_link_histograms(r);
-  link_span.arg("programs", static_cast<std::uint64_t>(results.size()));
+  session.root().arg("programs", static_cast<std::uint64_t>(results.size()));
   return results;
-}
-
-Result<std::vector<rp::TranslatedProgram>> Controller::compile_locked(
-    std::string_view source, bool single) {
-  // Parse + check + translate, charged to the simulated clock at the
-  // paper's parse time.
-  Compiled compiled = compile(source);
-  record_compile_locked(compiled);
-  clock_.advance_ms(kParseChargeMs);
-  const Status unit = unit_status(compiled.programs, single);
-  if (unit.ok()) return std::move(compiled.programs);
-  record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
-  return unit.error();
 }
 
 Controller::Compiled Controller::compile(std::string_view source) {
@@ -312,7 +452,8 @@ Controller::Compiled Controller::compile(std::string_view source) {
   return Compiled{std::move(programs), report, source.size()};
 }
 
-void Controller::record_compile_locked(const Compiled& compiled) {
+Status Controller::record_compile_locked(const Compiled& compiled, bool single,
+                                         bool first) {
   using Layer = rp::CompileReport::Layer;
   const rp::CompileReport& report = compiled.report;
   auto& tracer = telemetry_->tracer;
@@ -330,6 +471,8 @@ void Controller::record_compile_locked(const Compiled& compiled) {
     tracer.record_span("translate", "compiler", now_ns, now_ns, trace, {},
                        report.translate_ms);
   }
+  if (!first) return {};
+
   auto& m = telemetry_->metrics;
   switch (report.failed) {
     case Layer::None: m.counter("compiler.programs_compiled").inc(report.programs); break;
@@ -337,6 +480,14 @@ void Controller::record_compile_locked(const Compiled& compiled) {
     case Layer::Check: m.counter("compiler.check_errors").inc(); break;
     case Layer::Translate: m.counter("compiler.translate_errors").inc(); break;
   }
+  // Parse + check + translate, charged to the simulated clock at the
+  // paper's parse time.
+  clock_.advance_ms(kParseChargeMs);
+  const Status unit = unit_status(compiled.programs, single);
+  if (!unit.ok()) {
+    record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
+  }
+  return unit;
 }
 
 double Controller::record_solve_locked(const Solved& solved) {
@@ -379,24 +530,14 @@ Error Controller::fail_locked(ProgramId id, const std::string& name, int faulted
   return err;
 }
 
-Result<Controller::Staged> Controller::deploy_locked(const rp::TranslatedProgram& ir,
-                                                     ProgramId replacing,
-                                                     std::optional<Solved> solved,
-                                                     Session* park, bool* retry) {
-  const bool phase_spans = !solved;
-  auto staged = stage_locked(ir, replacing, std::move(solved), retry);
-  if (!staged.ok()) return staged;
-  if (auto s = commit_locked(staged.value(), park, phase_spans); !s.ok()) {
-    recycle_failed_id(staged.value().result.id);
-    return fail_locked(staged.value().result.id, ir.name, staged.value().txn->faulted_hop(),
-                       s.error());
-  }
-  return staged;
+Error Controller::reject_quota_locked(const std::string& name, const Error& err) {
+  telemetry_->metrics.counter("ctrl.tenant.quota_rejected").inc();
+  record_event(ControlEvent::Kind::LinkFailed, 0, name, err.str());
+  return err;
 }
 
 Result<Controller::Staged> Controller::stage_locked(const rp::TranslatedProgram& ir,
-                                                      ProgramId replacing,
-                                                      std::optional<Solved> solved,
+                                                      ProgramId replacing, Solved solved,
                                                       bool* retry) {
   auto fail = [&](ProgramId id, int faulted_hop, const Error& err) {
     return fail_locked(id, ir.name, faulted_hop, err);
@@ -416,29 +557,19 @@ Result<Controller::Staged> Controller::stage_locked(const rp::TranslatedProgram&
                              "Controller", ErrorCode::Conflict});
   }
 
-  // Allocation (real measured solver time, §6.2.1 "allocation delay"):
-  // solved here, under the lock, unless the caller brought allocations. Only
-  // the serial entry points, which solve here, emit the §6.2 phase spans
-  // ("solve", "install") under their root span.
-  const bool phase_spans = !solved;
-  if (phase_spans) solved.emplace(solve(ir, snapshots()));
-  double alloc_ms = 0.0;
-  if (phase_spans) {
-    alloc_ms = record_solve_locked(*solved);
-  } else if (solved->wall_ms) {
-    alloc_ms = fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : *solved->wall_ms;
-    clock_.advance_ms(alloc_ms);
-  }
-  if (!solved->allocs.ok()) {
+  // A fresh solve is charged and recorded once the deploy passed its
+  // checks; a defrag move's stored allocation charges nothing.
+  const double alloc_ms = solved.wall_ms ? record_solve_locked(solved) : 0.0;
+  if (!solved.allocs.ok()) {
     // With auto-defrag the snapshot had the words but not the contiguity:
     // the caller compacts and burns a retry on the improved memory map.
-    if (retryable(solved->allocs.error()) && auto_defrag_) {
+    if (retryable(solved.allocs.error()) && auto_defrag_) {
       *retry = true;
-      return solved->allocs.error();
+      return solved.allocs.error();
     }
-    return fail(0, -1, solved->allocs.error());
+    return fail(0, -1, solved.allocs.error());
   }
-  std::vector<rp::AllocationResult> allocs = std::move(solved->allocs).take();
+  std::vector<rp::AllocationResult> allocs = std::move(solved.allocs).take();
   if (chain_ != nullptr) {
     if (auto s = check_chain(ir, allocs); !s.ok()) return fail(0, -1, s.error());
   }
@@ -463,7 +594,7 @@ Result<Controller::Staged> Controller::stage_locked(const rp::TranslatedProgram&
   return Staged{{id, ir.name, LinkStats{0.0, alloc_ms, 0.0}}, std::move(txn)};
 }
 
-Status Controller::commit_locked(Staged& staged, Session* park, bool phase_spans) {
+Status Controller::commit_locked(Staged& staged, Session* park) {
   ChainTransaction& txn = *staged.txn;
   const ProgramId id = staged.result.id;
   const std::string& name = staged.result.name;
@@ -473,8 +604,9 @@ Status Controller::commit_locked(Staged& staged, Session* park, bool phase_spans
   // difference of two millisecond doubles depends on the absolute time,
   // which wall-clock allocation charges make differ from run to run.
   const SimClock::Nanos update_start_ns = clock_.now_ns();
+  // Every install opens "install"; at a park it closes with the root.
   obs::SpanTracer::Scope install_span;
-  if (phase_spans) install_span = telemetry_->tracer.span("install", "ctrl");
+  if (txn.installs()) install_span = telemetry_->tracer.span("install", "ctrl");
   // The new version is live on every hop (before a relink's retire).
   auto on_installed = [&] {
     install_span.end();
@@ -496,7 +628,6 @@ Status Controller::commit_locked(Staged& staged, Session* park, bool phase_spans
   } else {
     committed = txn.commit_all(on_installed);
   }
-  install_span.end();
   staged.result.stats.update_ms =
       parked ? txn.channel_ms()
              : static_cast<double>(clock_.now_ns() - update_start_ns) / 1e6;
@@ -520,144 +651,16 @@ void Controller::forget_locked(ProgramId id) {
   free_ids_.push_back(id);
 }
 
-std::vector<Result<LinkResult>> Controller::link_many(
-    const std::vector<std::string>& sources, common::ThreadPool& pool) {
-  std::vector<SessionSpec> sessions;
-  sessions.reserve(sources.size());
-  for (const auto& source : sources) sessions.push_back(SessionSpec{source, 0});
-  return link_many(sessions, pool);
-}
-
-std::vector<Result<LinkResult>> Controller::link_many(
-    const std::vector<SessionSpec>& sessions, common::ThreadPool& pool) {
-  std::vector<std::future<Result<LinkResult>>> futures;
-  futures.reserve(sessions.size());
-  for (const auto& session : sessions) {
-    futures.push_back(pool.submit(
-        [this, &session] { return link_session(session); }));
-  }
-  std::vector<Result<LinkResult>> results;
-  results.reserve(futures.size());
-  for (auto& future : futures) results.push_back(future.get());
-  return results;
-}
-
-Result<LinkResult> Controller::link_session(const SessionSpec& session) {
-  // Compile + translate off-lock: pure compute over the source text. No
-  // telemetry — the tracer and clock are shared state behind mu_.
-  auto compiled = rp::compile_source(session.source);
-  if (const Status unit = unit_status(compiled, /*single=*/true); !unit.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    clock_.advance_ms(kParseChargeMs);
-    record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>", unit.error().str());
-    return unit.error();
-  }
-  const rp::TranslatedProgram& ir = compiled.value().front();
-  const TenantId tenant = session.tenant;
-
-  // Admission gate. The controller BLOCKS queued sessions (weighted fair
-  // order), so it runs strictly before mu_ is taken; a shed returns
-  // immediately with AdmissionShed instead of spinning retries against a
-  // saturated switch.
-  WallTimer wait_timer;
-  auto grant = admission_.acquire(tenant, tenants_.weight(tenant));
-  if (!grant.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    telemetry_->metrics.counter("ctrl.tenant.shed").inc();
-    telemetry_->monitor.admission_shed(tenant, ir.name, grant.error().str());
-    record_event(ControlEvent::Kind::LinkFailed, 0, ir.name, grant.error().str());
-    return grant.error();
-  }
-  const double queue_wait_ms = wait_timer.elapsed_ms();
-
-  auto result = link_session_admitted(ir, tenant);
-  admission_.release();
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& m = telemetry_->metrics;
-  m.counter("ctrl.tenant.admitted").inc();
-  m.histogram("ctrl.tenant.queue_wait_ms").observe(queue_wait_ms);
-  return result;
-}
-
-Result<LinkResult> Controller::link_session_admitted(const rp::TranslatedProgram& ir,
-                                                    TenantId tenant) {
-  // Quota gate: charge the session's full demand up front (demand equals
-  // the committed footprint exactly, see memory_demand; once per program,
-  // however many hops mirror it) and refund on every failure path.
-  // Charging before reserving keeps the invariant one-sided: registry usage
-  // >= sum of installed footprints, so concurrent sessions can never
-  // oversubscribe a quota between check and commit.
-  const std::uint64_t mem_words = memory_demand(ir);
-  const std::uint64_t entry_count = entry_demand(ir);
-  if (auto s = tenants_.admit(tenant, mem_words, entry_count); !s.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    telemetry_->metrics.counter("ctrl.tenant.quota_rejected").inc();
-    record_event(ControlEvent::Kind::LinkFailed, 0, ir.name, s.error().str());
-    return s.error();
-  }
-  struct ChargeGuard {
-    TenantRegistry& tenants;
-    TenantId tenant;
-    std::uint64_t mem, entries;
-    bool armed = true;
-    ~ChargeGuard() {
-      if (armed) tenants.refund(tenant, mem, entries);
-    }
-  } charge_guard{tenants_, tenant, mem_words, entry_count};
-
-  Error conflict{"parallel link: retries exhausted", "Controller",
-                 ErrorCode::AllocFailed};
-  for (int attempt = 0; attempt <= kMaxSolveRetries; ++attempt) {
-    // Solve against per-hop snapshots off-lock (the expensive phase runs in
-    // parallel across sessions).
-    std::vector<ResourceManager::Snapshot> snaps;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      snaps = snapshots();
-    }
-    Solved solved = solve(ir, snaps);
-
-    // Reservation + staged commit serialize under the session lock; the
-    // clock, telemetry and audit log are only touched here. The trace scope
-    // is per attempt: the successful attempt's id is the one the LinkResult
-    // reports.
-    Session session(*this);
-    if (attempt == 0) clock_.advance_ms(kParseChargeMs);  // once per session
-    bool retry = false;
-    auto deployed = deploy_locked(ir, 0, std::move(solved), &session,
-                                  attempt < kMaxSolveRetries ? &retry : nullptr);
-    if (retry) {
-      // Re-snapshot and re-solve (after compacting, with auto-defrag on).
-      // Bounded like every retry — a genuinely full switch still exhausts
-      // the cap and reports AllocFailed.
-      conflict = deployed.error();
-      telemetry_->metrics.counter("ctrl.link.retries").inc();
-      if (auto_defrag_) defragment_locked(DefragOptions{});
-      continue;
-    }
-    if (!deployed.ok()) return deployed.error();
-    adopt_locked(deployed.value(), tenant);
-    charge_guard.armed = false;  // install owns the admission charge now
-    record_event(ControlEvent::Kind::Link, deployed.value().result.id, ir.name);
-
-    LinkResult result = std::move(deployed.value().result);
-    result.stats.parse_ms = kParseChargeMs;
-    result.trace = session.trace_id();
-    record_link_histograms(result);
-    return result;
-  }
-  return conflict;
-}
-
 Result<LinkResult> Controller::relink(ProgramId old_id, std::string_view source) {
   Session session(*this);
   if (auto s = check_running(old_id); !s.ok()) return s.error();
-  auto relink_span =
-      telemetry_->tracer.span(chain_ != nullptr ? "chain_relink" : "relink", "ctrl");
-  auto compiled = compile_locked(source, /*single=*/true);
-  if (!compiled.ok()) return compiled.error();
-  auto relinked = replace_locked(old_id, compiled.value().front(), std::nullopt, "");
+  session.open(op_name("relink"));
+  const Compiled compiled = compile(source);
+  if (auto s = record_compile_locked(compiled, /*single=*/true, /*first=*/true); !s.ok()) {
+    return s.error();
+  }
+  const rp::TranslatedProgram& ir = compiled.programs.value().front();
+  auto relinked = replace_locked(old_id, ir, solve(ir, snapshots()), "");
   if (relinked.ok()) {
     relinked.value().stats.parse_ms = kParseChargeMs;  // defrag moves parse nothing
     relinked.value().trace = session.trace_id();
@@ -667,8 +670,7 @@ Result<LinkResult> Controller::relink(ProgramId old_id, std::string_view source)
 
 Result<LinkResult> Controller::replace_locked(ProgramId old_id,
                                               const rp::TranslatedProgram& ir,
-                                              std::optional<Solved> stored,
-                                              const std::string& detail) {
+                                              Solved solved, const std::string& detail) {
   // The new version stays attributed to the old version's tenant.
   const InstalledProgram& old_program = at(0).programs.at(old_id);
   const TenantId tenant = old_program.tenant;
@@ -678,28 +680,33 @@ Result<LinkResult> Controller::replace_locked(ProgramId old_id,
   // filters land on each hop, and the fresh filter generation outranks the
   // old one) and only then retires the old version; a fault in either half
   // restores exactly the pre-relink truth (residual bytes included).
-  auto deployed = deploy_locked(ir, old_id, std::move(stored), nullptr, nullptr);
-  if (!deployed.ok()) return deployed.error();
-  const ProgramId new_id = deployed.value().result.id;
+  auto staged = stage_locked(ir, old_id, std::move(solved), nullptr);
+  if (!staged.ok()) return staged.error();
+  Staged& deployed = staged.value();
+  if (auto s = commit_locked(deployed, nullptr); !s.ok()) {
+    recycle_failed_id(deployed.result.id);
+    return fail_locked(deployed.result.id, ir.name, deployed.txn->faulted_hop(), s.error());
+  }
+  const ProgramId new_id = deployed.result.id;
   forget_locked(old_id);
-  adopt_locked(deployed.value(), tenant);
+  adopt_locked(deployed, tenant);
   // Unchecked charge: a replacement is never blocked by a full quota — the
   // old version's release above keeps the net usage unchanged.
   tenants_.charge(tenant, memory_demand(ir), entry_demand(ir));
   record_event(ControlEvent::Kind::Relink, new_id, ir.name, detail);
   record_event(ControlEvent::Kind::Revoke, old_id, old_name);
-  return std::move(deployed.value().result);
+  return std::move(deployed.result);
 }
 
 Status Controller::revoke(ProgramId id) {
   Session session(*this);
-  return revoke_locked(id, &session);
+  return revoke_locked(id, session);
 }
 
 Status Controller::revoke_by_name(const std::string& name) {
   Session session(*this);
   if (const InstalledProgram* program = program_by_name_unlocked(name)) {
-    return revoke_locked(program->id, &session);
+    return revoke_locked(program->id, session);
   }
   return Error{"no running program named '" + name + "'", "Controller",
                ErrorCode::NotFound};
@@ -718,7 +725,7 @@ Status Controller::check_running(ProgramId id) const {
   return {};
 }
 
-Status Controller::revoke_locked(ProgramId id, Session* park) {
+Status Controller::revoke_locked(ProgramId id, Session& session) {
   if (auto s = check_running(id); !s.ok()) return s;
   const std::string name = program_unlocked(id)->name;
   // One transaction of remove records, one per hop. Staging a removal
@@ -726,10 +733,8 @@ Status Controller::revoke_locked(ProgramId id, Session* park) {
   Staged removal{{id, name, {}},
                  std::make_unique<ChainTransaction>(contexts_, id, telemetry_)};
   (void)removal.txn->stage_all();
-  auto revoke_span =
-      telemetry_->tracer.span(chain_ != nullptr ? "chain_revoke" : "revoke", "ctrl");
-  if (park != nullptr && removal.txn->pipelined()) revoke_span.end();  // none open off-lock
-  if (auto s = commit_locked(removal, park, /*phase_spans=*/false); !s.ok()) {
+  session.open(op_name("revoke"));
+  if (auto s = commit_locked(removal, &session); !s.ok()) {
     // The transaction restored the program on every hop (fresh handles); it
     // keeps running and keeps all its resources.
     announce_rollback(id, name, removal.txn->faulted_hop(), s.error());

@@ -48,9 +48,10 @@ class FlightRecorder;
 namespace p4runpro::ctrl {
 
 /// Timing breakdown of one program deployment (§6.2.1: deployment delay =
-/// allocation delay + update delay; parsing is negligible). `alloc_ms` is
-/// real measured solver time; `parse_ms`/`update_ms` come from the
-/// simulated control channel. `update_ms` is the whole update window: a
+/// parse + allocation + update delay), the same whatever entry point links.
+/// `parse_ms` is the fixed parse charge (split across a unit's programs),
+/// `alloc_ms` the solver's measured wall time (or the fixed charge) and
+/// `update_ms` the simulated control channel's whole update window: a
 /// relink's covers the new version's install and the old version's retire.
 struct LinkStats {
   double parse_ms = 0.0;
@@ -135,7 +136,11 @@ class Controller {
   /// One admission-gated link session (the unit link_many maps over a
   /// pool). Safe to call concurrently from any thread — this is the
   /// entry point for callers that drive their own session threads (e.g.
-  /// bench/tenant_churn measuring per-session latency).
+  /// bench/tenant_churn measuring per-session latency). It runs the serial
+  /// link's pipeline and leaves its span tree, but compiles and solves
+  /// off-lock and takes the session lock per attempt; an async session's
+  /// spans close where it parks, and the writes settled after the park
+  /// keep its trace id.
   Result<LinkResult> link_session(const SessionSpec& session);
 
   /// Incremental update (paper §7): atomically replace a running program
@@ -279,8 +284,9 @@ class Controller {
   // Locking discipline (docs/ARCHITECTURE.md "Async control channel"): all
   // mutations of controller/resource/clock/telemetry state happen under
   // mu_. Public mutators take the lock (a Session) and delegate to the
-  // *_locked internals; link_many workers do their pure compute (compile,
-  // solve) off-lock against snapshots and re-enter mu_ for reserve+commit.
+  // *_locked internals; sessions do their pure compute (compile, solve)
+  // off-lock against snapshots and re-enter mu_ to record it and for
+  // reserve+commit.
   // Const queries take mu_ and quiesce the async channels before reading
   // (use the *_unlocked internals from code already holding mu_ — the
   // public versions would self-deadlock). Dataplane writes are serialized
@@ -320,7 +326,8 @@ class Controller {
     std::size_t source_bytes = 0;
   };
 
-  /// Per-hop allocations for one deploy: a fresh solve, or a defrag move's
+  /// Per-hop allocations for one deploy: a fresh solve (under the lock, or
+  /// off-lock for a session), recorded when it stages, or a defrag move's
   /// stored allocation (no wall time: it charges nothing and records no
   /// solve).
   struct Solved {
@@ -344,44 +351,52 @@ class Controller {
     return *hops_[static_cast<std::size_t>(hop)];
   }
 
-  Result<std::vector<LinkResult>> link_locked(std::string_view source, bool single);
-  /// Compile a source unit and charge its parse time. A compile error, or
-  /// with `single` a unit not holding exactly one program, is audited as
-  /// LinkFailed "<compile>".
-  Result<std::vector<rp::TranslatedProgram>> compile_locked(std::string_view source,
-                                                            bool single);
+  // The link pipeline: compile -> quota -> solve -> stage -> commit ->
+  // adopt. A serial link (link, link_single) runs it inline under the
+  // session lock; a session compiles, passes the quota gate and solves
+  // off-lock, and takes the lock per attempt for the rest. Both leave the
+  // same span tree: the root, then parse, translate, solve and install.
+
+  /// The serial link body, under the lock throughout.
+  Result<std::vector<LinkResult>> link_locked(Session& session, std::string_view source,
+                                              bool single);
+  /// A session after its admission grant, which the caller releases: quota
+  /// gate, then attempts of off-lock solve and locked install.
+  Result<LinkResult> link_session_admitted(const Compiled& compiled, TenantId tenant);
+  /// Stage every program of a unit, then commit each (parked off-lock when
+  /// `parks`), then adopt them all, or unwind and audit every one. `solved`
+  /// holds a session's off-lock solves; empty, each program is solved here.
+  Result<std::vector<LinkResult>> install_unit_locked(
+      Session& session, const std::vector<rp::TranslatedProgram>& programs,
+      std::vector<Solved> solved, TenantId tenant, bool parks, bool* retry);
   /// Compile `source` on the calling thread (the compiler is pure).
   [[nodiscard]] static Compiled compile(std::string_view source);
-  /// Record a compile under the lock: the "parse" and "translate" spans, at
-  /// the current virtual instant with the measured wall times, and the
-  /// compiler.* counters.
-  void record_compile_locked(const Compiled& compiled);
-  /// Record a fresh solve under the lock: charge the allocation delay (the
-  /// fixed charge, else the measured wall time) to the clock, record the
-  /// "solve" span over it and the compiler.solver.* metrics. Returns the
-  /// charged ms.
+  /// Record a compile: the "parse" and "translate" spans, at the current
+  /// virtual instant with the measured wall times. Its `first` record also
+  /// counts the compiler.* metrics, charges the parse time and audits a
+  /// unit that failed to compile or, with `single`, does not hold exactly
+  /// one program (LinkFailed "<compile>"). A retried session attempt
+  /// records the spans again, so every attempt's trace holds a whole link.
+  Status record_compile_locked(const Compiled& compiled, bool single, bool first);
+  /// Record a fresh solve: charge the allocation delay (the fixed charge,
+  /// else the measured wall time), the "solve" span over it and the
+  /// compiler.solver.* metrics. Returns the charged ms.
   double record_solve_locked(const Solved& solved);
-  /// Admitted session body: everything after the admission grant (quota
-  /// gate, off-lock solve, locked deploy, retry loop). The caller
-  /// (link_session) owns the grant and releases it afterwards.
-  Result<LinkResult> link_session_admitted(const rp::TranslatedProgram& ir,
-                                           TenantId tenant);
-  /// The one deploy body: stage_locked, then commit_locked (a fault is
-  /// audited and returns the id). Does NOT adopt the program.
-  Result<Staged> deploy_locked(const rp::TranslatedProgram& ir, ProgramId replacing,
-                               std::optional<Solved> solved, Session* park, bool* retry);
-  /// Name check, allocation (solved now under the lock when `solved` is
-  /// empty), chain checks, id and a staged ChainTransaction (which retires
-  /// `replacing`, if set, once the new program is live); every failure is
-  /// audited and returns the id. With `retry` non-null, AllocFailed
-  /// failures a re-solve may fix return unaudited with *retry set.
+  /// Audit a link the quota gate refused and return `err`.
+  Error reject_quota_locked(const std::string& name, const Error& err);
+  /// Name check, the solve's record, chain checks, id and a staged
+  /// ChainTransaction (which retires `replacing`, if set, once the new
+  /// program is live); every failure is audited and returns the id. With
+  /// `retry` non-null, AllocFailed failures a re-solve may fix return
+  /// unaudited with *retry set.
   Result<Staged> stage_locked(const rp::TranslatedProgram& ir, ProgramId replacing,
-                              std::optional<Solved> solved, bool* retry);
+                              Solved solved, bool* retry);
   /// Commit a staged transaction (link, relink or revoke): inline, or with
   /// `park` (may be null) and every hop async, parked off-lock under the
-  /// name and id guards while the writers drain. Announces the new
-  /// version; audits nothing. `phase_spans` opens the "install" span.
-  Status commit_locked(Staged& staged, Session* park, bool phase_spans);
+  /// name and id guards while the writers drain. A transaction with install
+  /// records opens the "install" span. Announces the new version; audits
+  /// nothing.
+  Status commit_locked(Staged& staged, Session* park);
   /// Audit a failed deploy (LinkFailed, plus a monitor rollback once an id
   /// was assigned) and return `err`.
   Error fail_locked(ProgramId id, const std::string& name, int faulted_hop,
@@ -390,16 +405,15 @@ class Controller {
   void adopt_locked(Staged& staged, TenantId tenant);
   /// Erase a removed program from the books; release its charge and id.
   void forget_locked(ProgramId id);
-  /// Replace `old_id` by `ir` in one transaction (stored allocations for a
-  /// defrag move, else solved now). Shared by relink and defrag.
+  /// Replace `old_id` by `ir` in one transaction (a relink's fresh solve,
+  /// or a defrag move's stored allocation). Shared by relink and defrag.
   Result<LinkResult> replace_locked(ProgramId old_id, const rp::TranslatedProgram& ir,
-                                    std::optional<Solved> stored,
-                                    const std::string& detail);
+                                    Solved solved, const std::string& detail);
   /// NotFound unless `id` runs; Conflict while an async revoke owns it.
   [[nodiscard]] Status check_running(ProgramId id) const;
-  /// Audited revoke: a transaction of remove records (`park`, may be null,
-  /// parks an async removal off-lock under the busy guard).
-  Status revoke_locked(ProgramId id, Session* park);
+  /// Audited revoke: a transaction of remove records (an async removal
+  /// parks the session off-lock under the busy guard).
+  Status revoke_locked(ProgramId id, Session& session);
   /// Per-hop allocations of `ir` against `snapshots`, timed, on the calling
   /// thread (the solver is pure): one solve of hop 0 serves every hop whose
   /// snapshot equals hop 0's; a hop whose books differ is solved on its own.
@@ -428,11 +442,12 @@ class Controller {
   /// successful revoke does — so ids of programs that never ran can't leak
   /// into the pool and alias monitor history.
   void recycle_failed_id(ProgramId id);
+  /// A root span's name: `op` on one switch, "chain_" + `op` on a chain.
+  [[nodiscard]] std::string op_name(std::string_view op) const;
   /// Monitor feed: txn_* on a single switch, chain_txn_* on a chain.
   void announce_commit(ProgramId id, const std::string& name);
   void announce_rollback(ProgramId id, const std::string& name, int faulted_hop,
                          const Error& err);
-  void record_link_histograms(const LinkResult& result);
   void record_event(ControlEvent::Kind kind, ProgramId id, const std::string& name,
                     const std::string& detail = "");
 
