@@ -460,26 +460,38 @@ class Translator {
       }
     };
 
-    // Fixpoint: longest-path depths, then raise alignment classes.
-    for (auto& node : nodes_) node.depth = 0;
-    bool changed = true;
-    int iterations = 0;
-    while (changed) {
-      changed = false;
-      if (++iterations > static_cast<int>(n) + 8) {
-        fail(program_.line, "internal: depth assignment did not converge");
-        return;
-      }
+    auto relax_paths = [&] {  // longest-path depths; true when one rose
+      bool rose = false;
       for (auto& node : nodes_) {  // nodes_ is already in topological order
         const int d = node.preds.empty() ? 1 : at(node.preds.front()).depth + 1;
         if (d > node.depth) {
           node.depth = d;
-          changed = true;
+          rose = true;
         }
       }
+      return rose;
+    };
+    auto class_depth = [&](auto first, auto last) {
+      int dmax = 0;
+      for (auto m = first; m != last; ++m) dmax = std::max(dmax, at(m->id).depth);
+      return dmax;
+    };
+
+    // Fixpoint: longest-path depths, then raise alignment classes. Class
+    // constraints are equalities and each tree edge adds one, so a feasible
+    // program settles within n passes. One that does not has a positive
+    // cycle: parallel branches order two aligned memories differently, and
+    // no depth assignment exists.
+    for (auto& node : nodes_) node.depth = 0;
+    bool changed = true;
+    for (int pass = 1; changed; ++pass) {
+      if (pass > static_cast<int>(n) + 8) {
+        fail_unaligned(relax_paths, class_depth, for_each_class);
+        return;
+      }
+      changed = relax_paths();
       for_each_class([&](auto first, auto last) {
-        int dmax = 0;
-        for (auto m = first; m != last; ++m) dmax = std::max(dmax, at(m->id).depth);
+        const int dmax = class_depth(first, last);
         for (auto m = first; m != last; ++m) {
           if (at(m->id).depth < dmax) {
             at(m->id).depth = dmax;
@@ -488,6 +500,28 @@ class Translator {
         }
       });
     }
+  }
+
+  /// Reject a program whose alignment diverged, naming the memories whose
+  /// aligned accesses still pull apart after one more longest-path pass.
+  template <typename Relax, typename ClassDepth, typename ForEachClass>
+  [[gnu::cold]] void fail_unaligned(Relax& relax_paths, ClassDepth& class_depth,
+                                    ForEachClass& for_each_class) {
+    relax_paths();
+    std::string names;
+    const lang::Annotation* named = nullptr;
+    for_each_class([&](auto first, auto last) {
+      const int dmax = class_depth(first, last);
+      const bool apart = std::any_of(first, last, [&](const Member& m) {
+        return nodes_[static_cast<std::size_t>(m.id)].depth < dmax;
+      });
+      if (!apart || first->memory == named) return;
+      named = first->memory;
+      names += (names.empty() ? "'" : ", '") + named->name + "'";
+    });
+    fail(program_.line, "cannot align the parallel-branch accesses of " + names +
+                            " to one stage per memory: the branches order them "
+                            "differently");
   }
 
   void finalize(TranslatedProgram& out) {

@@ -295,6 +295,22 @@ TEST(EdgeCases, MemoryAbove2To31BucketsIsRejectedByName) {
   EXPECT_EQ(largest.value().front().vmem_sizes.at("m"), 2147483648u);
 }
 
+TEST(EdgeCases, ConflictingAlignmentIsRejectedByName) {
+  // Parallel branches access m and n in opposite orders: aligning each
+  // memory's accesses to one stage has no solution (the depth fixpoint
+  // diverges). The program is at fault, so the error names its memories.
+  auto crossed = rp::compile_source(
+      "@ m 16\n@ n 16\nprogram p(<hdr.ipv4.src, 1, 0xff>) { BRANCH: "
+      "case(<har, 0, 0xff>) { MEMREAD(m); MEMREAD(n); } "
+      "case(<har, 1, 0xff>) { MEMREAD(n); MEMREAD(m); } ; }");
+  ASSERT_FALSE(crossed.ok());
+  const std::string text = crossed.error().str();
+  EXPECT_EQ(crossed.error().code, ErrorCode::SemanticError) << text;
+  EXPECT_TRUE(text.find("'m'") != std::string::npos || text.find("'n'") != std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("internal"), std::string::npos) << text;
+}
+
 TEST(EdgeCases, SameFilterTwoProgramsPriorityIsDeterministic) {
   // Overlapping filters: the later-linked program's filter wins (higher
   // install generation), and revoking it re-exposes the earlier one.
