@@ -232,8 +232,6 @@ class UpdateEngine {
   /// everything the update wrote, the same figure the dashboard reports.
   void announce_deploy(const InstalledProgram& program);
 
-  [[nodiscard]] const BfrtCostModel& cost_model() const noexcept { return cost_; }
-
   /// Telemetry sink for the replayed write spans ("bfrt.*") and the
   /// "ctrl.bfrt.*" write counters; null disables (set by the controller).
   void set_telemetry(obs::Telemetry* telemetry) noexcept { telemetry_ = telemetry; }
@@ -250,7 +248,6 @@ class UpdateEngine {
   /// spans (and trace reports built from them) say which switch the write
   /// landed on. -1 (the default, single-switch) omits the tag.
   void set_hop_label(int hop) noexcept { hop_label_ = hop; }
-  [[nodiscard]] int hop_label() const noexcept { return hop_label_; }
 
   /// Fault injection (tests): make the Nth subsequent entry write fail,
   /// simulating a control-channel error mid-update. The fault fires once

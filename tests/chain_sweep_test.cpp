@@ -55,9 +55,10 @@ TEST_P(ChainSweep, ChainMatchesRecirculatingSwitch) {
   ASSERT_TRUE(ref.ok()) << ref.error().str();
 
   const auto* installed = controller_single.program(ref.value().id);
-  if (!dp::SwitchChain::chain_compatible(installed->ir.vmem_depths,
-                                         installed->alloc.x,
-                                         single.spec().total_rpbs())) {
+  if (!dp::SwitchChain::chain_compatibility(installed->ir.vmem_depths,
+                                            installed->alloc.x,
+                                            single.spec().total_rpbs())
+           .ok()) {
     GTEST_SKIP() << key << " is not chain-compatible";
   }
 
