@@ -7,31 +7,26 @@
 
 namespace p4runpro::dp {
 
-namespace {
+RunproDataplane::RunproDataplane(DataplaneSpec spec, rmt::ParserConfig parser_config)
+    : spec_(spec), parser_config_(parser_config), master_(spec_, std::move(parser_config)) {}
 
-/// Wires one pipeline's stages (master and shard pipes are built the same
-/// way; only the master's blocks ever receive control writes).
-struct WiredBlocks {
-  std::shared_ptr<InitBlock> init;
-  std::vector<std::shared_ptr<Rpb>> rpbs;
-  std::shared_ptr<RecircBlock> recirc;
-};
-
-WiredBlocks wire_blocks(rmt::Pipeline& pipeline, const DataplaneSpec& spec) {
-  WiredBlocks blocks;
-  // The filtering tables sit in stage 0 alongside no RPB, so they get a
-  // deeper TCAM share: program capacity must not be bottlenecked by
-  // filters (the paper's lb capacity of ~2.8K programs needs > 2048
-  // filter entries per parse path).
-  blocks.init = std::make_shared<InitBlock>(spec.entries_per_rpb * 4);
-  blocks.recirc = std::make_shared<RecircBlock>(spec.entries_per_rpb);
-
+RunproDataplane::Pipe::Pipe(const DataplaneSpec& spec, rmt::ParserConfig parser_config)
+    // The pipeline's recirculation allowance is a hardware property; the
+    // compiler-facing R in the spec bounds *programs*, while the frame
+    // tolerates one extra pass as headroom for misconfigured entries.
+    : pipeline(std::move(parser_config), spec.max_recirculations + 1),
+      // The filtering tables sit in stage 0 alongside no RPB, so they get a
+      // deeper TCAM share: program capacity must not be bottlenecked by
+      // filters (the paper's lb capacity of ~2.8K programs needs > 2048
+      // filter entries per parse path).
+      init(std::make_shared<InitBlock>(spec.entries_per_rpb * 4)),
+      recirc(std::make_shared<RecircBlock>(spec.entries_per_rpb)) {
   std::vector<std::shared_ptr<Rpb>> ingress_rpbs;
   for (int i = 1; i <= spec.ingress_rpbs; ++i) {
     auto rpb = std::make_shared<Rpb>(i, /*ingress=*/true, spec.memory_per_rpb,
                                      spec.entries_per_rpb);
     rpb->set_stage_stats(&pipeline.stage_stats());
-    blocks.rpbs.push_back(rpb);
+    rpbs.push_back(rpb);
     ingress_rpbs.push_back(std::move(rpb));
   }
   std::vector<std::shared_ptr<Rpb>> egress_rpbs;
@@ -39,47 +34,22 @@ WiredBlocks wire_blocks(rmt::Pipeline& pipeline, const DataplaneSpec& spec) {
     auto rpb = std::make_shared<Rpb>(spec.ingress_rpbs + i, /*ingress=*/false,
                                      spec.memory_per_rpb, spec.entries_per_rpb);
     rpb->set_stage_stats(&pipeline.stage_stats());
-    blocks.rpbs.push_back(rpb);
+    rpbs.push_back(rpb);
     egress_rpbs.push_back(std::move(rpb));
   }
   // The RPBs run through chain stages (one ingress, one egress): a chain
   // skips the whole block sequence for unclaimed packets and empty-table
   // stages for claimed ones, which is where the per-packet pass time goes
   // on a lightly-populated switch (see docs/PERFORMANCE.md).
-  pipeline.add_ingress_stage(blocks.init);
+  pipeline.add_ingress_stage(init);
   pipeline.add_ingress_stage(std::make_shared<RpbChain>(
       std::move(ingress_rpbs), &pipeline.stage_stats()));
-  pipeline.add_ingress_stage(blocks.recirc);
+  pipeline.add_ingress_stage(recirc);
   pipeline.add_egress_stage(std::make_shared<RpbChain>(
       std::move(egress_rpbs), &pipeline.stage_stats()));
-  return blocks;
 }
 
-}  // namespace
-
-RunproDataplane::RunproDataplane(DataplaneSpec spec, rmt::ParserConfig parser_config)
-    : spec_(spec),
-      parser_config_(parser_config),
-      // The pipeline's recirculation allowance is a hardware property; the
-      // compiler-facing R in the spec bounds *programs*, while the frame
-      // tolerates one extra pass as headroom for misconfigured entries.
-      pipeline_(std::move(parser_config), spec.max_recirculations + 1) {
-  WiredBlocks blocks = wire_blocks(pipeline_, spec_);
-  init_ = std::move(blocks.init);
-  rpbs_ = std::move(blocks.rpbs);
-  recirc_ = std::move(blocks.recirc);
-}
-
-RunproDataplane::PipeShard::PipeShard(const DataplaneSpec& spec,
-                                      rmt::ParserConfig parser_config)
-    : pipeline(std::move(parser_config), spec.max_recirculations + 1) {
-  WiredBlocks blocks = wire_blocks(pipeline, spec);
-  init = std::move(blocks.init);
-  rpbs = std::move(blocks.rpbs);
-  recirc = std::move(blocks.recirc);
-}
-
-void RunproDataplane::PipeShard::bind(const TableSnapshot& snap) {
+void RunproDataplane::Pipe::bind(const TableSnapshot& snap) {
   init->bind_tables(&snap.filters);
   for (std::size_t i = 0; i < rpbs.size(); ++i) {
     rpbs[i]->bind_table(snap.rpb_tables[i].get());
@@ -99,13 +69,13 @@ void RunproDataplane::enable_sharding(int shards) {
   if (telemetry_ != nullptr) hub_->attach_telemetry(telemetry_);
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<PipeShard>(spec_, parser_config_);
+    auto shard = std::make_unique<Pipe>(spec_, parser_config_);
     // Pipe-local frame config mirrors the master at enable time (these are
     // provisioning-time knobs; changing them mid-traffic is not supported
     // on either path).
-    shard->pipeline.set_qdepth(pipeline_.qdepth());
-    shard->pipeline.set_cpu_queue_capacity(pipeline_.cpu_queue_capacity());
-    for (const auto& [group, ports] : pipeline_.multicast_groups()) {
+    shard->pipeline.set_qdepth(master_.pipeline.qdepth());
+    shard->pipeline.set_cpu_queue_capacity(master_.pipeline.cpu_queue_capacity());
+    for (const auto& [group, ports] : master_.pipeline.multicast_groups()) {
       shard->pipeline.set_multicast_group(group, ports);
     }
     shards_.push_back(std::move(shard));
@@ -123,7 +93,7 @@ void RunproDataplane::disable_sharding() {
 rmt::Pipeline::BatchResult RunproDataplane::inject_batch_on(
     int shard, std::span<const rmt::Packet> pkts) {
   assert(hub_ != nullptr && shard >= 0 && shard < shard_count());
-  PipeShard& pipe = *shards_[static_cast<std::size_t>(shard)];
+  Pipe& pipe = *shards_[static_cast<std::size_t>(shard)];
   // Pin the current snapshot for the whole batch: every packet matches one
   // consistent table state, and the guard's epoch announcement defers the
   // reclamation of a snapshot superseded mid-batch (the grace period).
@@ -137,7 +107,7 @@ rmt::Pipeline::BatchResult RunproDataplane::inject_batch_on(
 }
 
 std::optional<PublishStats> RunproDataplane::note_table_update(std::uint64_t trace) {
-  pipeline_.note_table_update(trace);
+  master_.pipeline.note_table_update(trace);
   return publish_snapshot();
 }
 
@@ -147,9 +117,9 @@ std::optional<PublishStats> RunproDataplane::publish_snapshot() {
   // Built against the current snapshot: this thread is the only publisher,
   // so nothing can retire that snapshot while the freeze reads it. A new
   // hub (enable_sharding) has none, and the first snapshot copies all.
-  auto next = std::make_unique<TableSnapshot>(*init_, rpbs_, *recirc_,
-                                              pipeline_.table_trace(),
-                                              pipeline_.table_generation(),
+  auto next = std::make_unique<TableSnapshot>(*master_.init, master_.rpbs, *master_.recirc,
+                                              master_.pipeline.table_trace(),
+                                              master_.pipeline.table_generation(),
                                               hub_->current());
   PublishStats stats;
   stats.buckets = next->buckets;
@@ -159,13 +129,13 @@ std::optional<PublishStats> RunproDataplane::publish_snapshot() {
 }
 
 std::uint64_t RunproDataplane::claimed_packets(ProgramId program) const {
-  std::uint64_t total = init_->claimed_packets(program);
+  std::uint64_t total = master_.init->claimed_packets(program);
   for (const auto& shard : shards_) total += shard->init->claimed_packets(program);
   return total;
 }
 
 void RunproDataplane::clear_claim_counter(ProgramId program) {
-  init_->clear_counter(program);
+  master_.init->clear_counter(program);
   for (const auto& shard : shards_) shard->init->clear_counter(program);
 }
 
@@ -181,7 +151,7 @@ const InitBlock& RunproDataplane::shard_init(int shard) const {
 
 void RunproDataplane::attach_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  pipeline_.attach_telemetry(telemetry);
+  master_.pipeline.attach_telemetry(telemetry);
   if (hub_ != nullptr) hub_->attach_telemetry(telemetry);
 }
 
@@ -295,12 +265,12 @@ WriteOp RunproDataplane::undo(const WriteOp& inverse) {
 
 Rpb& RunproDataplane::rpb(int physical_id) {
   assert(physical_id >= 1 && physical_id <= spec_.total_rpbs());
-  return *rpbs_[static_cast<std::size_t>(physical_id - 1)];
+  return *master_.rpbs[static_cast<std::size_t>(physical_id - 1)];
 }
 
 const Rpb& RunproDataplane::rpb(int physical_id) const {
   assert(physical_id >= 1 && physical_id <= spec_.total_rpbs());
-  return *rpbs_[static_cast<std::size_t>(physical_id - 1)];
+  return *master_.rpbs[static_cast<std::size_t>(physical_id - 1)];
 }
 
 }  // namespace p4runpro::dp

@@ -51,13 +51,14 @@ class RunproDataplane {
  public:
   RunproDataplane(DataplaneSpec spec, rmt::ParserConfig parser_config);
 
-  /// Run one packet through the pipeline (including recirculations).
-  rmt::PipelineResult inject(const rmt::Packet& pkt) { return pipeline_.inject(pkt); }
+  /// Run one packet through the pipeline (including recirculations, or the
+  /// later hops of a chain).
+  rmt::PipelineResult inject(const rmt::Packet& pkt) { return master_.pipeline.inject(pkt); }
 
   /// Run a batch of packets and return aggregate results (the data-plane
   /// fast path; see rmt::Pipeline::inject_batch).
   rmt::Pipeline::BatchResult inject_batch(std::span<const rmt::Packet> pkts) {
-    return pipeline_.inject_batch(pkts);
+    return master_.pipeline.inject_batch(pkts);
   }
 
   [[nodiscard]] const DataplaneSpec& spec() const noexcept { return spec_; }
@@ -85,10 +86,10 @@ class RunproDataplane {
   /// revoke can pick up the fresh handles.
   WriteOp undo(const WriteOp& inverse);
 
-  [[nodiscard]] InitBlock& init_block() noexcept { return *init_; }
-  [[nodiscard]] RecircBlock& recirc_block() noexcept { return *recirc_; }
-  [[nodiscard]] rmt::Pipeline& pipeline() noexcept { return pipeline_; }
-  [[nodiscard]] const rmt::Pipeline& pipeline() const noexcept { return pipeline_; }
+  [[nodiscard]] InitBlock& init_block() noexcept { return *master_.init; }
+  [[nodiscard]] RecircBlock& recirc_block() noexcept { return *master_.recirc; }
+  [[nodiscard]] rmt::Pipeline& pipeline() noexcept { return master_.pipeline; }
+  [[nodiscard]] const rmt::Pipeline& pipeline() const noexcept { return master_.pipeline; }
 
   // --- sharded multi-pipe mode -------------------------------------------
 
@@ -145,17 +146,18 @@ class RunproDataplane {
   void attach_telemetry(obs::Telemetry* telemetry);
 
  private:
-  /// One hardware pipe: a full pipeline with its own blocks. The blocks'
+  /// One hardware pipe: a full pipeline wired with its own blocks. Their
   /// mutable state (register memory, claim counters, port counters) is
-  /// pipe-local; their match tables are bound per batch to the acquired
-  /// snapshot and never consulted unbound.
-  struct PipeShard {
-    PipeShard(const DataplaneSpec& spec, rmt::ParserConfig parser_config);
+  /// pipe-local. The master pipe's match tables are the control plane's
+  /// copy; a shard pipe's are bound per batch to the acquired snapshot and
+  /// never consulted unbound.
+  struct Pipe {
+    Pipe(const DataplaneSpec& spec, rmt::ParserConfig parser_config);
     void bind(const TableSnapshot& snap);
 
     rmt::Pipeline pipeline;
     std::shared_ptr<InitBlock> init;
-    std::vector<std::shared_ptr<Rpb>> rpbs;
+    std::vector<std::shared_ptr<Rpb>> rpbs;  // index i -> physical id i+1
     std::shared_ptr<RecircBlock> recirc;
   };
 
@@ -163,13 +165,10 @@ class RunproDataplane {
 
   DataplaneSpec spec_;
   rmt::ParserConfig parser_config_;  ///< kept for shard construction
-  rmt::Pipeline pipeline_;
-  std::shared_ptr<InitBlock> init_;
-  std::vector<std::shared_ptr<Rpb>> rpbs_;  // index i -> physical id i+1
-  std::shared_ptr<RecircBlock> recirc_;
+  Pipe master_;
 
   std::unique_ptr<SnapshotHub> hub_;  ///< non-null iff sharded
-  std::vector<std::unique_ptr<PipeShard>> shards_;
+  std::vector<std::unique_ptr<Pipe>> shards_;
   obs::Telemetry* telemetry_ = nullptr;
 };
 

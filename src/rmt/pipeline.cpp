@@ -157,16 +157,21 @@ Pipeline::PassResult Pipeline::process_pass(Phv& phv) {
 // `inline` so the compiler keeps the pass loop inside inject_batch's
 // unobserved loop: left out of line it adds a call per packet there.
 inline Pipeline::PassResult Pipeline::run_passes(Phv& phv, int& recirc_passes) {
+  Pipeline* pipe = this;
   for (int pass = 0;; ++pass) {
-    PassResult step = process_pass(phv);
+    PassResult step = pipe->process_pass(phv);
     if (step.outcome == PassOutcome::Exit) return step;
     ++recirc_passes;
-    if (pass >= max_recirculations_) {
-      ++packets_dropped_;
+    // A pipe that recirculates into itself is bounded by its allowance, a
+    // chain by its last hop.
+    Pipeline* const next = pipe->next_hop_;
+    if (next == nullptr || (next == pipe && pass >= max_recirculations_)) {
+      ++pipe->packets_dropped_;
       step.outcome = PassOutcome::Exit;
       step.fate = PacketFate::RecircLimit;
       return step;
     }
+    pipe = next;
   }
 }
 

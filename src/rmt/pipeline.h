@@ -153,7 +153,9 @@ class Pipeline {
     egress_.push_back(std::move(stage));
   }
 
-  /// Run one packet to completion (including recirculation passes).
+  /// Run one packet to completion: parse here, then one pass after
+  /// another, each pass that asks for another round continuing on the
+  /// next hop (see set_next_hop).
   PipelineResult inject(const Packet& pkt);
 
   /// Aggregate outcome of an inject_batch() call: per-fate packet counts
@@ -187,25 +189,14 @@ class Pipeline {
   /// per-packet inject().
   BatchResult inject_batch(std::span<const Packet> pkts);
 
-  /// Outcome of a single pipeline pass (ingress + traffic manager +
-  /// egress). Used by inject()'s recirculation loop and by multi-switch
-  /// chains (§4.1.3: recirculation "can also be replaced by multiple
-  /// switches deployed on the same path").
-  enum class PassOutcome : std::uint8_t { Exit, Recirculate };
-  struct PassResult {
-    PassOutcome outcome = PassOutcome::Exit;
-    PacketFate fate = PacketFate::Dropped;
-    Port egress_port = 0;
-    std::vector<Port> multicast_ports;
-  };
-
-  /// Parse a raw packet into a PHV (counts it as an arrival).
-  [[nodiscard]] Phv parse_packet(const Packet& pkt);
-
-  /// One full pass of an already-parsed PHV. On Recirculate the caller
-  /// decides whether to loop (recirculation) or to hand the PHV to the
-  /// next switch of a chain; the recirculation id is already incremented.
-  PassResult process_pass(Phv& phv);
+  /// The pipe a pass that asks for another round continues on: this pipe
+  /// itself by default (recirculation, bounded by the allowance), the next
+  /// switch's pipe on a chain (§4.1.3: recirculation "can also be replaced
+  /// by multiple switches deployed on the same path"; the recirculation id
+  /// doubles as the hop index), or null on a chain's last hop, where a
+  /// packet that asks for another round runs off the end as RecircLimit and
+  /// that hop counts the drop. Wired once, at provisioning time.
+  void set_next_hop(Pipeline* next) noexcept { next_hop_ = next; }
 
   /// Per-packet execution tracing (debugging): when enabled, every block
   /// records one TraceEvent per executed operation; read the last traced
@@ -269,8 +260,8 @@ class Pipeline {
   /// Attribution hook: on_packet once per inject() (and per sampled or
   /// traced batch packet) with the packet's claiming program and execution
   /// counters, on_batch once per inject_batch() for the rest. Null disables
-  /// (the default). Packets driven through process_pass() directly (switch
-  /// chains) bypass the observer.
+  /// (the default). Packets are observed where they enter, every pass on a
+  /// later hop included.
   void set_observer(PacketObserver* observer) noexcept { observer_ = observer; }
   [[nodiscard]] PacketObserver* observer() const noexcept { return observer_; }
 
@@ -309,10 +300,27 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
 
  private:
+  /// Outcome of a single pipeline pass (ingress + traffic manager +
+  /// egress).
+  enum class PassOutcome : std::uint8_t { Exit, Recirculate };
+  struct PassResult {
+    PassOutcome outcome = PassOutcome::Exit;
+    PacketFate fate = PacketFate::Dropped;
+    Port egress_port = 0;
+    std::vector<Port> multicast_ports;
+  };
+
+  /// Parse a raw packet into a PHV (counts it as an arrival).
+  [[nodiscard]] Phv parse_packet(const Packet& pkt);
   /// Start a traced packet's event list with its parser event.
   void start_trace(Phv& phv);
-  /// Passes of one parsed packet until it exits; exhausting the
-  /// recirculation allowance ends it as RecircLimit (counted as a drop).
+  /// One full pass of an already-parsed PHV. On Recirculate the
+  /// recirculation id is already incremented.
+  PassResult process_pass(Phv& phv);
+  /// Passes of one parsed packet until it exits, each Recirculate pass
+  /// continuing on its pipe's next hop. Exhausting the recirculation
+  /// allowance, or a chain's last hop, ends it as RecircLimit (counted as a
+  /// drop by the pipe that ran the last pass).
   PassResult run_passes(Phv& phv, int& recirc_passes);
   [[nodiscard]] PacketObservation observe(const Packet& pkt, const Phv& phv,
                                           const PassResult& end, int recirc_passes,
@@ -326,6 +334,7 @@ class Pipeline {
 
   Parser parser_;
   int max_recirculations_;
+  Pipeline* next_hop_ = this;  ///< see set_next_hop()
   std::vector<std::shared_ptr<PipelineStage>> ingress_;
   std::vector<std::shared_ptr<PipelineStage>> egress_;
   Word qdepth_ = 0;

@@ -106,14 +106,12 @@ TEST(TraceReport, FaultedAndCleanChainDeploysResolveUnderOneTraceIdEach) {
   ASSERT_NE(clean_trace, 0u);
   EXPECT_NE(clean_trace, faulted_trace);
 
-  // Post-commit traffic: inject at hop 0 with journey capture on. The hop
+  // Post-commit traffic: inject at the chain's entry (hop 0, the pipe the
+  // controller's monitor observes) with journey capture on. The hop
   // pipeline stamps the packet with the table trace/generation the clean
-  // deploy installed. (ChainController does not attach the monitor as a
-  // pipeline observer itself — single-switch Controller does — so the test
-  // wires hop 0 explicitly, the way a chain harness would.)
+  // deploy installed.
   bed.telemetry.flight.set_sample_every(1);
-  bed.chain.switch_at(0).pipeline().set_observer(&bed.telemetry.monitor);
-  (void)bed.chain.switch_at(0).inject(cache_read(0x8888));
+  (void)bed.chain.inject(cache_read(0x8888));
   ASSERT_EQ(bed.telemetry.flight.journeys().size(), 1u);
   EXPECT_EQ(bed.telemetry.flight.journeys().front().table_trace, clean_trace);
   EXPECT_GE(bed.telemetry.flight.journeys().front().table_generation, 1u);
