@@ -27,6 +27,7 @@
 #include "common/thread_pool.h"
 #include "control/controller.h"
 #include "dataplane/runpro_dataplane.h"
+#include "dataplane/switch_chain.h"
 #include "obs/telemetry.h"
 #include "traffic/workloads.h"
 
@@ -43,6 +44,21 @@ struct Bed {
   SimClock clock;
   dp::RunproDataplane dataplane{dp::DataplaneSpec{},
                                 rmt::ParserConfig{{7777, 9999}}};
+  ctrl::Controller controller{dataplane, clock, rp::Objective{},
+                              ctrl::BfrtCostModel{}, &telemetry};
+};
+
+dp::DataplaneSpec chain_spec() {
+  dp::DataplaneSpec spec;
+  spec.max_recirculations = 2;  // 3 hops: one round per hop
+  return spec;
+}
+
+/// A 3-hop chain under one controller, whose monitor observes hop 0.
+struct ChainBed {
+  obs::Telemetry telemetry;
+  SimClock clock;
+  dp::SwitchChain dataplane{3, chain_spec(), rmt::ParserConfig{{7777, 9999}}};
   ctrl::Controller controller{dataplane, clock, rp::Objective{},
                               ctrl::BfrtCostModel{}, &telemetry};
 };
@@ -64,7 +80,8 @@ rmt::Packet hh_packet() {
   return pkt;
 }
 
-void link_program(Bed& bed, const char* key) {
+template <typename B>
+void link_program(B& bed, const char* key) {
   apps::ProgramConfig config;
   config.instance_name = key;
   (void)bed.controller.link_single(apps::make_program_source(key, config));
@@ -266,6 +283,27 @@ double measure_pps(F&& fn, std::size_t pkts_per_call,
   return static_cast<double>(pkts) / secs;
 }
 
+/// Both columns of one shape: per-packet inject() with the controller's
+/// monitor attached to `entry` (the pipe packets enter), then inject_batch()
+/// with it detached.
+template <typename Dataplane>
+RateSample measure_shape(const char* name, Dataplane& dataplane, rmt::Pipeline& entry,
+                         const std::vector<rmt::Packet>& pkts,
+                         std::chrono::milliseconds budget) {
+  RateSample sample;
+  sample.name = name;
+  sample.inject_pps = measure_pps(
+      [&] {
+        for (const auto& p : pkts) benchmark::DoNotOptimize(dataplane.inject(p));
+      },
+      pkts.size(), budget);
+  entry.set_observer(nullptr);
+  sample.batch_pps = measure_pps(
+      [&] { benchmark::DoNotOptimize(dataplane.inject_batch(pkts)); }, pkts.size(),
+      budget);
+  return sample;
+}
+
 std::vector<RateSample> run_rate_suite(std::chrono::milliseconds budget) {
   struct Shape {
     const char* name;
@@ -291,21 +329,16 @@ std::vector<RateSample> run_rate_suite(std::chrono::milliseconds budget) {
     if (shape.program != nullptr) link_program(bed, shape.program);
     if (shape.extra_programs > 0) link_many(bed, shape.extra_programs);
     if (shape.off_trace_programs > 0) link_off_trace(bed, shape.off_trace_programs);
-    const auto pkts = batch_of(shape.pkt);
-
-    RateSample sample;
-    sample.name = shape.name;
-    sample.inject_pps = measure_pps(
-        [&] {
-          for (const auto& p : pkts) benchmark::DoNotOptimize(bed.dataplane.inject(p));
-        },
-        pkts.size(), budget);
-    bed.dataplane.pipeline().set_observer(nullptr);
-    sample.batch_pps = measure_pps(
-        [&] { benchmark::DoNotOptimize(bed.dataplane.inject_batch(pkts)); },
-        pkts.size(), budget);
-    samples.push_back(std::move(sample));
+    samples.push_back(measure_shape(shape.name, bed.dataplane, bed.dataplane.pipeline(),
+                                    batch_of(shape.pkt), budget));
   }
+  // hh on a 3-hop chain: its second round runs on hop 1 instead of
+  // recirculating through hop 0 (compare hh_recirc).
+  ChainBed chain;
+  link_program(chain, "hh");
+  samples.push_back(measure_shape("chain_3_hh", chain.dataplane,
+                                  chain.dataplane.switch_at(0).pipeline(),
+                                  batch_of(hh_packet()), budget));
   return samples;
 }
 
