@@ -49,7 +49,7 @@ SchemeResult run(rp::Objective objective) {
     delay_sum += linked.value().stats.alloc_ms;
     out.max_delay_ms = std::max(out.max_delay_ms, linked.value().stats.alloc_ms);
     const auto* installed = bed.controller.program(linked.value().id);
-    if (installed != nullptr) node_sum += installed->alloc.nodes_explored;
+    if (installed != nullptr) node_sum += installed->image->alloc.nodes_explored;
     if (out.capacity > 20000) break;
   }
   out.mem_util = bed.controller.resources().total_memory_utilization();

@@ -6,20 +6,28 @@
 // BM_CompileCatalog/<i> compiles catalog program i the way a link does
 // (`compile_source(src, &report)`) and reports `allocs`, the global
 // operator new calls per compile, counted by the allocator this binary
-// replaces (this binary only).
+// replaces (this binary only). BM_LinkRevoke/<hops> links and revokes one
+// multi-round program on one switch or a chain and reports the same count
+// per link and per revoke.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "apps/program_library.h"
+#include "common/clock.h"
 #include "compiler/compiler.h"
 #include "compiler/solver.h"
+#include "control/controller.h"
 #include "control/resource_manager.h"
+#include "dataplane/runpro_dataplane.h"
+#include "dataplane/switch_chain.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
+#include "obs/telemetry.h"
 
 #include "bench_util.h"
 
@@ -97,6 +105,74 @@ void BM_CompileCatalog(benchmark::State& state) {
   state.SetLabel(info.key);
 }
 BENCHMARK(BM_CompileCatalog)->DenseRange(0, 14);
+
+/// Link and revoke of hh (two rounds, chain compatible) on one switch
+/// (range 1) or a 3-hop chain (range 3), each prefilled with one of every
+/// other chain-compatible catalog program. Reports `link_allocs` and
+/// `revoke_allocs`, operator new calls per operation. The tracer keeps no
+/// span (capacity 0) and one warm-up pair creates every metric first, so
+/// the counts repeat from run to run.
+void BM_LinkRevoke(benchmark::State& state) {
+  const int hops = static_cast<int>(state.range(0));
+  dp::DataplaneSpec spec;
+  spec.max_recirculations = 2;  // one round per hop of the chain
+  const rmt::ParserConfig parser{{7777, 7788, 9999, 5555}};
+  obs::Telemetry telemetry;
+  telemetry.tracer.set_capacity(0);
+  SimClock clock;
+  std::unique_ptr<dp::RunproDataplane> single;
+  std::unique_ptr<dp::SwitchChain> chain;
+  std::unique_ptr<ctrl::Controller> controller;
+  if (hops == 1) {
+    single = std::make_unique<dp::RunproDataplane>(spec, parser);
+    controller = std::make_unique<ctrl::Controller>(*single, clock, rp::Objective{},
+                                                    ctrl::BfrtCostModel{}, &telemetry);
+  } else {
+    chain = std::make_unique<dp::SwitchChain>(hops, spec, parser);
+    controller = std::make_unique<ctrl::Controller>(*chain, clock, rp::Objective{},
+                                                    ctrl::BfrtCostModel{}, &telemetry);
+  }
+  controller->set_fixed_alloc_charge_ms(1.0);
+  for (const char* key : {"bf", "cache", "calculator", "cms", "ecn", "firewall", "hll",
+                          "l2", "l3", "sumax", "tunnel"}) {
+    apps::ProgramConfig config;
+    config.instance_name = std::string("fill_") + key;
+    if (!controller->link(apps::make_program_source(key, config)).ok()) {
+      state.SkipWithError("prefill link failed");
+      return;
+    }
+  }
+  const std::string source = source_for("hh");
+  const auto link_revoke = [&](std::uint64_t& link_allocs, std::uint64_t& revoke_allocs) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    auto linked = controller->link(source);
+    const std::uint64_t linked_at = g_allocs.load(std::memory_order_relaxed);
+    const bool ok = linked.ok() && controller->revoke(linked.value().front().id).ok();
+    link_allocs += linked_at - before;
+    revoke_allocs += g_allocs.load(std::memory_order_relaxed) - linked_at;
+    return ok;
+  };
+  std::uint64_t link_allocs = 0;
+  std::uint64_t revoke_allocs = 0;
+  if (!link_revoke(link_allocs, revoke_allocs)) {
+    state.SkipWithError("hh link or revoke failed");
+    return;
+  }
+  link_allocs = revoke_allocs = 0;
+  for (auto _ : state) {
+    if (!link_revoke(link_allocs, revoke_allocs)) {
+      state.SkipWithError("hh link or revoke failed");
+      return;
+    }
+  }
+  const auto per_op = [&](std::uint64_t total) {
+    return static_cast<double>(total) / static_cast<double>(state.iterations());
+  };
+  state.counters["link_allocs"] = per_op(link_allocs);
+  state.counters["revoke_allocs"] = per_op(revoke_allocs);
+  state.SetLabel(hops == 1 ? "switch" : "chain_" + std::to_string(hops));
+}
+BENCHMARK(BM_LinkRevoke)->Arg(1)->Arg(3);
 
 void BM_Solve(benchmark::State& state) {
   const char* kKeys[] = {"l3", "cache", "hh", "hll"};

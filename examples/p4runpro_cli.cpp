@@ -163,7 +163,7 @@ int main() {
         for (ProgramId id : controller.running_programs()) {
           const auto* p = controller.program(id);
           std::printf("  %3u %-16s depth %2d, rounds %d, %zu RPB entries\n", id,
-                      p->name.c_str(), p->ir.depth, p->alloc.rounds,
+                      p->name.c_str(), p->image->ir.depth, p->image->alloc.rounds,
                       p->rpb_handles.size());
         }
         if (controller.program_count() == 0) std::printf("  (none)\n");

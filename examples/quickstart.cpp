@@ -103,7 +103,7 @@ int main() {
   // 5. Monitor and revoke.
   const auto* program = controller.program(id);
   std::printf("program '%s': %d AST depths over %d rounds, %zu RPB entries\n",
-              program->name.c_str(), program->ir.depth, program->alloc.rounds,
+              program->name.c_str(), program->image->ir.depth, program->image->alloc.rounds,
               program->rpb_handles.size());
   if (!controller.revoke(id).ok()) return 1;
   std::printf("revoked; memory utilization back to %.0f%%\n",

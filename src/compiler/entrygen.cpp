@@ -46,48 +46,40 @@ EntryPlan generate_entries(const TranslatedProgram& program,
   plan.program = id;
   plan.filters = program.filters;
   plan.rounds = alloc.rounds;
+  plan.rpb_entries.reserve(static_cast<std::size_t>(program.total_entries()));
 
   const int total_rpbs = spec.total_rpbs();
   for (const auto& node : program.nodes) {
     const int logical = alloc.x[static_cast<std::size_t>(node.depth - 1)];
-    const int phys = dp::physical_rpb(logical, total_rpbs);
-    const int round = dp::recirc_round(logical, total_rpbs);
-
-    // Common control-flag keys.
-    std::vector<rmt::TernaryKey> base_keys(dp::kRpbKeyWidth, rmt::TernaryKey::any());
-    base_keys[dp::kKeyProgram] = rmt::TernaryKey::exact(id);
-    base_keys[dp::kKeyBranch] = rmt::TernaryKey::exact(node.branch);
-    base_keys[dp::kKeyRecirc] = rmt::TernaryKey::exact(static_cast<Word>(round));
+    // Common control-flag keys; every other component stays a wildcard.
+    dp::RpbEntry entry;
+    entry.rpb = dp::physical_rpb(logical, total_rpbs);
+    entry.keys[dp::kKeyProgram] = rmt::TernaryKey::exact(id);
+    entry.keys[dp::kKeyBranch] = rmt::TernaryKey::exact(node.branch);
+    entry.keys[dp::kKeyRecirc] = rmt::TernaryKey::exact(
+        static_cast<Word>(dp::recirc_round(logical, total_rpbs)));
 
     if (node.op.kind == dp::OpKind::Branch) {
       // One entry per case; earlier cases take higher priority.
       const int cases = static_cast<int>(node.op.cases.size());
       for (int c = 0; c < cases; ++c) {
         const CaseRule& rule = node.op.cases[static_cast<std::size_t>(c)];
-        RpbEntrySpec spec_entry;
-        spec_entry.rpb = phys;
-        spec_entry.keys = base_keys;
+        dp::RpbEntry& case_entry = plan.rpb_entries.emplace_back(entry);
         for (const auto& cond : rule.conditions) {
           const int slot = cond.reg == Reg::Har   ? dp::kKeyHar
                            : cond.reg == Reg::Sar ? dp::kKeySar
                                                   : dp::kKeyMar;
-          spec_entry.keys[static_cast<std::size_t>(slot)] =
+          case_entry.keys[static_cast<std::size_t>(slot)] =
               rmt::TernaryKey{cond.value, cond.mask};
         }
-        spec_entry.priority = cases - c;
-        spec_entry.action = dp::RpbAction{dp::AtomicOp::branch(), rule.target, id};
-        plan.rpb_entries.push_back(std::move(spec_entry));
+        case_entry.priority = cases - c;
+        case_entry.action = dp::RpbAction{dp::AtomicOp::branch(), rule.target, id};
       }
       continue;
     }
 
-    RpbEntrySpec spec_entry;
-    spec_entry.rpb = phys;
-    spec_entry.keys = std::move(base_keys);
-    spec_entry.priority = 0;
-    spec_entry.action =
-        dp::RpbAction{bind_op(node.op, placements, program), std::nullopt, id};
-    plan.rpb_entries.push_back(std::move(spec_entry));
+    entry.action = dp::RpbAction{bind_op(node.op, placements, program), std::nullopt, id};
+    plan.rpb_entries.push_back(entry);
   }
   return plan;
 }
@@ -96,16 +88,10 @@ void stage_install(const EntryPlan& plan, dp::WriteBatch& batch) {
   // Step 1: recirculation entries (invisible without a program id). Always
   // staged, even for single-pass programs: the channel still syncs one
   // (empty) recirculation batch, matching the bfrt cost model.
+  batch.ops.reserve(batch.ops.size() + plan.rpb_entries.size() + 2);
   batch.add_recirc(plan.program, plan.rounds);
   // Step 2: RPB entries, in plan order.
-  for (const auto& spec : plan.rpb_entries) {
-    dp::RpbEntryWrite entry;
-    entry.rpb = spec.rpb;
-    entry.keys = spec.keys;
-    entry.priority = spec.priority;
-    entry.action = spec.action;
-    batch.add_rpb_entry(plan.program, std::move(entry));
-  }
+  for (const auto& entry : plan.rpb_entries) batch.add_rpb_entry(plan.program, entry);
   // Step 3: init filters last — this atomically activates the program.
   batch.add_filters(plan.program, plan.filters, plan.filter_priority);
 }
@@ -119,19 +105,14 @@ void stage_remove(
     dp::WriteBatch& batch) {
   assert(rpb_handles.size() == plan.rpb_entries.size() &&
          "handles must align with the plan's entry order");
+  batch.ops.reserve(batch.ops.size() + rpb_handles.size() + 2 + placements.size());
   // Step 1: delete the init filters first; without a program id every later
   // component of the program stops matching at once.
   batch.del_filters(plan.program, filter_handles, plan.filters,
                     plan.filter_priority);
   // Step 2: the remaining entries.
   for (std::size_t i = 0; i < rpb_handles.size(); ++i) {
-    const auto& spec = plan.rpb_entries[i];
-    dp::RpbEntryWrite entry;
-    entry.rpb = spec.rpb;
-    entry.keys = spec.keys;
-    entry.priority = spec.priority;
-    entry.action = spec.action;
-    batch.del_rpb_entry(plan.program, std::move(entry), rpb_handles[i].second);
+    batch.del_rpb_entry(plan.program, plan.rpb_entries[i], rpb_handles[i].second);
   }
   batch.del_recirc(plan.program, recirc_handles, plan.rounds);
   // Step 3: lock, reset and release the program's memory (Fig. 6 step 4).

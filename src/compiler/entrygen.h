@@ -18,19 +18,11 @@
 
 namespace p4runpro::rp {
 
-/// One planned RPB entry.
-struct RpbEntrySpec {
-  int rpb = 0;  // physical RPB id
-  std::vector<rmt::TernaryKey> keys;
-  int priority = 0;
-  dp::RpbAction action;
-};
-
 /// Everything the update engine needs to (consistently) install or remove
 /// one program.
 struct EntryPlan {
   ProgramId program = 0;
-  std::vector<RpbEntrySpec> rpb_entries;
+  std::vector<dp::RpbEntry> rpb_entries;
   std::vector<dp::FilterTuple> filters;
   /// Filtering-table priority; the controller assigns a fresh generation
   /// per install so that an incremental update's new version outranks the

@@ -10,18 +10,20 @@ namespace p4runpro::ctrl {
 
 ChainTransaction::ChainTransaction(std::vector<ChainHop> hops,
                                    const rp::TranslatedProgram& ir,
-                                   std::vector<rp::AllocationResult> allocs,
-                                   ProgramId id, int filter_priority,
-                                   ProgramId replacing, obs::Telemetry* telemetry)
+                                   rp::AllocationResult alloc, ProgramId id,
+                                   int filter_priority, ProgramId replacing,
+                                   obs::Telemetry* telemetry)
     : hops_(std::move(hops)),
       ir_(&ir),
+      alloc_(std::move(alloc)),
       id_(id),
       filter_priority_(filter_priority),
       replacing_(replacing),
       telemetry_(telemetry) {
-  assert(!hops_.empty() && hops_.size() == allocs.size());
+  assert(!hops_.empty());
+  records_.reserve(hops_.size());
   for (std::size_t h = 0; h < hops_.size(); ++h) {
-    records_.emplace_back(Direction::Install, h, hops_[h]).alloc = std::move(allocs[h]);
+    records_.emplace_back(Direction::Install, h, hops_[h]);
   }
   installs_ = records_.size();
 }
@@ -40,6 +42,7 @@ ChainTransaction::~ChainTransaction() {
 
 void ChainTransaction::retire(ProgramId id) {
   assert(phase_ == Phase::Solved);
+  records_.reserve(records_.size() + hops_.size());
   for (std::size_t h = 0; h < hops_.size(); ++h) {
     records_.emplace_back(Direction::Remove, h, hops_[h]).program =
         &hops_[h].programs->at(id);
@@ -74,7 +77,7 @@ Status ChainTransaction::reserve(Record& record) {
   auto reserve_span = obs::span(telemetry_, "txn.reserve", "ctrl");
 
   // Memory blocks at the allocation's pinned stages.
-  for (const auto& [vmem, rpb] : record.alloc.vmem_rpb) {
+  for (const auto& [vmem, rpb] : alloc_.vmem_rpb) {
     auto block = record.ctx.resources->allocate_memory(rpb, ir_->vmem_sizes.at(vmem));
     if (!block.ok()) {
       release(record);
@@ -89,17 +92,19 @@ Status ChainTransaction::reserve(Record& record) {
   const int total_rpbs = record.ctx.dataplane->spec().total_rpbs();
   std::map<int, std::uint32_t> counts;
   for (const auto& node : ir_->nodes) {
-    const int logical = record.alloc.x[static_cast<std::size_t>(node.depth - 1)];
+    const int logical = alloc_.x[static_cast<std::size_t>(node.depth - 1)];
     counts[dp::physical_rpb(logical, total_rpbs)] +=
         static_cast<std::uint32_t>(node.op.entry_count());
   }
-  for (const auto& [rpb, count] : counts) {
-    if (auto s = record.ctx.resources->reserve_entries(rpb, count); !s.ok()) {
+  for (auto it = counts.begin(); it != counts.end(); ++it) {
+    if (auto s = record.ctx.resources->reserve_entries(it->first, it->second); !s.ok()) {
+      counts.erase(it, counts.end());  // release only what was reserved
+      record.entries = std::move(counts);
       release(record);
       return s.error();
     }
-    record.entries[rpb] = count;
   }
+  record.entries = std::move(counts);
   return {};
 }
 
@@ -123,14 +128,21 @@ void ChainTransaction::stage(Record& record) {
 
 void ChainTransaction::stage_install(Record& record) {
   auto entrygen_span = obs::span(telemetry_, "entrygen", "ctrl");
-  record.plan = rp::generate_entries(*ir_, record.alloc, id_, record.placements,
-                                     record.ctx.dataplane->spec());
-  record.plan.filter_priority = filter_priority_;
-  entrygen_span.arg("rpb_entries",
-                    static_cast<std::uint64_t>(record.plan.rpb_entries.size()));
+  // Hop 0 plans the version's image. A hop whose blocks landed at the same
+  // bases shares it; one whose bases differ plans its own, because its
+  // Offset entries differ.
+  if (image_ == nullptr) {
+    image_ = record.image = plan_image(record, *ir_, std::move(alloc_));
+  } else if (record.placements == image_->placements) {
+    record.image = image_;
+  } else {
+    record.image = plan_image(record, image_->ir, image_->alloc);
+  }
+  const rp::EntryPlan& plan = record.image->plan;
+  entrygen_span.arg("rpb_entries", static_cast<std::uint64_t>(plan.rpb_entries.size()));
 #ifndef NDEBUG
   std::map<int, std::uint32_t> planned;
-  for (const auto& e : record.plan.rpb_entries) ++planned[e.rpb];
+  for (const auto& e : plan.rpb_entries) ++planned[e.rpb];
   assert(planned == record.entries &&
          "reservation counts diverged from the generated plan");
 #endif
@@ -160,8 +172,34 @@ void ChainTransaction::stage_install(Record& record) {
       }
     }
   }
-  rp::stage_install(record.plan, record.batch);
-  stage_span.arg("ops", static_cast<std::uint64_t>(record.batch.size()));
+  // Hop 0's op-log is staged once; a record sharing its image runs it, or a
+  // copy behind carry-over words. A hop with its own image stages its own.
+  if (record.image != image_) {
+    rp::stage_install(plan, record.batch);
+  } else {
+    if (install_.empty()) rp::stage_install(plan, install_);
+    if (!record.batch.empty()) {
+      record.batch.ops.insert(record.batch.ops.end(), install_.ops.begin(), install_.ops.end());
+    }
+  }
+  stage_span.arg("ops", static_cast<std::uint64_t>(install_ops(record).size()));
+}
+
+std::shared_ptr<const ProgramImage> ChainTransaction::plan_image(
+    const Record& record, const rp::TranslatedProgram& ir,
+    rp::AllocationResult alloc) const {
+  auto image = std::make_shared<ProgramImage>();
+  image->ir = ir;
+  image->alloc = std::move(alloc);
+  image->placements = record.placements;
+  image->plan = rp::generate_entries(image->ir, image->alloc, id_, image->placements,
+                                     record.ctx.dataplane->spec());
+  image->plan.filter_priority = filter_priority_;
+  return image;
+}
+
+const dp::WriteBatch& ChainTransaction::install_ops(const Record& record) const {
+  return record.image == image_ && record.batch.empty() ? install_ : record.batch;
 }
 
 bool ChainTransaction::pipelined() const {
@@ -205,15 +243,16 @@ void ChainTransaction::submit(Record& record) {
     record.pending = record.ctx.updates->submit_remove(*record.program);
     return;
   }
+  const dp::WriteBatch& ops = install_ops(record);
   record.commit_span = obs::span(telemetry_, "txn.commit", "ctrl");
-  record.commit_span.arg("ops", static_cast<std::uint64_t>(record.batch.size()));
+  record.commit_span.arg("ops", static_cast<std::uint64_t>(ops.size()));
   if (record.ctx.updates->async()) {
     // Closed now: no span stays open while the session parks off-lock. The
     // channel time is reported by the bfrt spans the settle replays.
     record.commit_span.arg("async", "1");
     record.commit_span.end();
   }
-  record.pending = record.ctx.updates->submit_install(record.batch);
+  record.pending = record.ctx.updates->submit_install(ops);
 }
 
 Status ChainTransaction::commit_finish(const std::function<void()>& on_installed) {
@@ -278,17 +317,15 @@ Status ChainTransaction::settle(Record& record) {
 
   InstalledProgram& out = record.installed;
   out.id = id_;
-  out.name = ir_->name;
-  out.ir = *ir_;
-  out.alloc = std::move(record.alloc);
-  out.plan = std::move(record.plan);
-  out.placements = record.placements;
+  out.name = record.image->ir.name;
+  out.image = record.image;
   auto entries = std::move(applied).take();
   out.filter_handles = std::move(entries.filter_handles);
   out.rpb_handles = std::move(entries.rpb_handles);
   out.recirc_handles = std::move(entries.recirc_handles);
 
   record.ctx.resources->record_program(id_, record.placements);
+  out.placements = std::move(record.placements);  // closed: never released
   record.ctx.updates->announce_deploy(out);
   record.settled = record.closed = true;
   return {};
@@ -388,10 +425,10 @@ void ChainTransaction::reinstall_removed(Record& record) {
     (void)reserved;
   }
 
-  // Replay the install: the saved memory contents first, then the entry
+  // Replay the install: the saved memory contents first, then the image's
   // plan in consistent-update order. The engine hands back fresh handles.
   dp::WriteBatch batch = saved_blocks(record);
-  rp::stage_install(program.plan, batch);
+  rp::stage_install(program.image->plan, batch);
   auto applied = record.ctx.updates->execute_install(batch);
   assert(applied.ok() && "chain unwind reinstall must not fault");
   program.filter_handles = std::move(applied.value().filter_handles);
@@ -412,7 +449,7 @@ dp::WriteBatch ChainTransaction::saved_blocks(Record& record) {
 
 std::size_t ChainTransaction::total_staged_ops() const {
   std::size_t total = 0;
-  for (const auto& record : records_) total += record.batch.size();
+  for (const auto& record : records_) total += install_ops(record).size();
   return total;
 }
 

@@ -10,9 +10,14 @@
 //
 //   stage_all: per install record, reserve -> plan -> stage. reserve takes
 //     memory blocks and table-entry reservations from the hop's resource
-//     manager, plan binds the IR to concrete RPB entries (entrygen), stage
-//     builds the declarative op-log (dp::WriteBatch) — relink carry-over
-//     memory writes first, then the consistent-update install order. Every
+//     manager; plan binds the IR to concrete RPB entries (entrygen) in the
+//     version's ProgramImage, and stage lowers the image's plan to the
+//     declarative install op-log (dp::WriteBatch) in consistent-update
+//     order. Hop 0 plans and stages once, and every hop whose placements
+//     equal its own shares the image and runs that op-log; a hop whose
+//     blocks landed at other bases plans its own image (its Offset entries
+//     differ). A relink's record stages its carry-over memory writes, then
+//     a copy of its op-log. Every
 //     hop reserves before any hop plans and no dataplane is touched, so any
 //     hop's AllocFailed aborts with nothing but reservation churn to undo.
 //     A remove record counts its program's entries per RPB and, on a chain,
@@ -32,8 +37,10 @@
 // memory too.
 //
 // Spans: the chain_txn.* spans wrap a chain's install records; one switch
-// opens none (its tree is txn.reserve, entrygen, txn.stage, txn.commit). A
-// remove record opens no span: a removal shows as the replayed bfrt.* spans.
+// opens none (its tree is txn.reserve, entrygen, txn.stage, txn.commit).
+// Every install record opens entrygen and txn.stage, also one that shares
+// hop 0's image and op-log. A remove record opens no span: a removal shows
+// as the replayed bfrt.* spans.
 //
 // Locking discipline: a transaction is single-threaded and must run under
 // the controller's session lock from stage_all() onward — except
@@ -45,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -84,14 +92,14 @@ class ChainTransaction {
     RolledBack,  ///< pre-transaction state restored on every hop
   };
 
-  /// Install `ir` on every hop. `allocs` is positional: allocs[h] is hop h's
-  /// allocation (the caller verified they agree on rounds — mirror mode).
-  /// `replacing` != 0 marks an incremental update: staging carries over the
-  /// contents of virtual memories shared with the old version, on every hop.
+  /// Install `ir` on every hop at allocation `alloc` (mirror mode: the
+  /// caller verified every hop's solve agrees on it). `ir` must outlive
+  /// staging. `replacing` != 0 marks an incremental update: staging carries
+  /// over the contents of virtual memories shared with the old version, on
+  /// every hop.
   ChainTransaction(std::vector<ChainHop> hops, const rp::TranslatedProgram& ir,
-                   std::vector<rp::AllocationResult> allocs, ProgramId id,
-                   int filter_priority, ProgramId replacing,
-                   obs::Telemetry* telemetry);
+                   rp::AllocationResult alloc, ProgramId id, int filter_priority,
+                   ProgramId replacing, obs::Telemetry* telemetry);
   /// Remove running program `id` from every hop (a revoke); see retire().
   ChainTransaction(std::vector<ChainHop> hops, ProgramId id, obs::Telemetry* telemetry);
 
@@ -154,7 +162,8 @@ class ChainTransaction {
   [[nodiscard]] InstalledProgram& installed(int hop) noexcept {
     return records_[static_cast<std::size_t>(hop)].installed;
   }
-  /// Total staged install ops across the chain.
+  /// Total staged install ops across the chain (every hop counted, also
+  /// one that shares hop 0's op-log).
   [[nodiscard]] std::size_t total_staged_ops() const;
 
  private:
@@ -180,9 +189,11 @@ class ChainTransaction {
     std::map<std::string, VmemPlacement> placements;
     std::map<int, std::uint32_t> entries;
     std::vector<Residual> residuals;
-    rp::AllocationResult alloc;  ///< install
-    rp::EntryPlan plan;          ///< install
-    dp::WriteBatch batch;        ///< install
+    std::shared_ptr<const ProgramImage> image;  ///< install
+    /// Install: the record's own op-log — a relink's carry-over writes,
+    /// then a copy of the shared one, or the op-log of an image only this
+    /// hop uses. Empty, the record runs the shared op-log (install_).
+    dp::WriteBatch batch;
     InstalledProgram installed;  ///< install, once settled
     UpdateEngine::PendingWrite pending;   ///< set at submission
     obs::SpanTracer::Scope commit_span;   ///< install, serial: submit -> settle
@@ -193,10 +204,17 @@ class ChainTransaction {
   /// Install: memory blocks (first-fit at the pinned stages) and entries;
   /// on failure the reservations are returned.
   Status reserve(Record& record);
-  /// Install: entry plan and op-log (stage_install); remove: entry counts
-  /// and, on a chain, the program's blocks. Then the residual bytes.
+  /// Install: the record's image (shared or planned) and op-log; remove:
+  /// entry counts and, on a chain, the program's blocks. Then the residual
+  /// bytes.
   void stage(Record& record);
   void stage_install(Record& record);
+  /// An image planned for `record`'s placements from `ir` at `alloc`.
+  [[nodiscard]] std::shared_ptr<const ProgramImage> plan_image(
+      const Record& record, const rp::TranslatedProgram& ir,
+      rp::AllocationResult alloc) const;
+  /// The install op-log `record` executes.
+  [[nodiscard]] const dp::WriteBatch& install_ops(const Record& record) const;
   void submit(Record& record);
   Status settle(Record& record);
   /// End of the wave (install records, then remove records) at `begin`.
@@ -221,6 +239,12 @@ class ChainTransaction {
   std::vector<Record> records_;  ///< install records first, then remove
   std::size_t installs_ = 0;
   const rp::TranslatedProgram* ir_ = nullptr;
+  rp::AllocationResult alloc_;  ///< every hop reserves at it; then hop 0's image takes it
+  std::shared_ptr<const ProgramImage> image_;  ///< hop 0's image
+  /// image_'s install op-log, staged once. Every record sharing image_
+  /// runs it, pipelined hop writers concurrently: nothing writes it after
+  /// stage_all.
+  dp::WriteBatch install_;
   ProgramId id_ = 0;
   int filter_priority_ = 0;
   ProgramId replacing_ = 0;

@@ -1,7 +1,9 @@
 #include "control/controller.h"
 
+#include <array>
 #include <cassert>
 #include <future>
+#include <memory>
 #include <utility>
 
 #include "control/lock_hold.h"
@@ -86,6 +88,31 @@ class QuotaCharges {
 
 }  // namespace
 
+struct Controller::Metrics {
+  obs::CounterRef link_retries{"ctrl.link.retries"};
+  obs::HistogramRef parse_ms{"ctrl.link.parse_ms"};
+  obs::HistogramRef alloc_ms{"ctrl.link.alloc_ms"};
+  obs::HistogramRef update_ms{"ctrl.link.update_ms"};
+  obs::HistogramRef deploy_ms{"ctrl.link.deploy_ms"};
+  obs::CounterRef tenant_admitted{"ctrl.tenant.admitted"};
+  obs::HistogramRef queue_wait_ms{"ctrl.tenant.queue_wait_ms"};
+  obs::CounterRef programs_compiled{"compiler.programs_compiled"};
+  obs::CounterRef parse_errors{"compiler.parse_errors"};
+  obs::CounterRef check_errors{"compiler.check_errors"};
+  obs::CounterRef translate_errors{"compiler.translate_errors"};
+  obs::CounterRef solver_calls{"compiler.solver.calls"};
+  obs::CounterRef solver_infeasible{"compiler.solver.infeasible"};
+  obs::HistogramRef nodes_explored{"compiler.solver.nodes_explored",
+                                   &obs::Histogram::count_bounds};
+  obs::HistogramRef rounds{"compiler.solver.rounds", &obs::Histogram::count_bounds};
+  /// Indexed by ControlEvent::Kind, whose last kind is RevokeFailed.
+  static_assert(static_cast<int>(ControlEvent::Kind::RevokeFailed) == 4);
+  std::array<obs::CounterRef, 5> events{
+      obs::CounterRef{"ctrl.events.link"}, obs::CounterRef{"ctrl.events.relink"},
+      obs::CounterRef{"ctrl.events.revoke"}, obs::CounterRef{"ctrl.events.link_failed"},
+      obs::CounterRef{"ctrl.events.revoke_failed"}};
+};
+
 /// The locked part of one control operation. Holds the session lock, the
 /// operation's causal trace scope (the context is lock-protected shared
 /// state), its lock-hold timer and its root span.
@@ -155,7 +182,8 @@ Controller::Controller(dp::SwitchChain* chain,
     : chain_(chain),
       clock_(clock),
       objective_(objective),
-      telemetry_(&obs::telemetry_or_default(telemetry)) {
+      telemetry_(&obs::telemetry_or_default(telemetry)),
+      metrics_(std::make_unique<Metrics>()) {
   // One bundle for the whole stack: phase spans are stamped with this
   // controller's virtual clock, and every layer reports into one registry.
   telemetry_->tracer.set_clock(&clock_);
@@ -179,7 +207,19 @@ Controller::Controller(dp::SwitchChain* chain,
   });
 }
 
-Controller::~Controller() { telemetry_->metrics.unregister_probes(this); }
+Controller::~Controller() {
+  // Detach what the constructors attached, so the bundle need only outlive
+  // the controller: the entry pipe's observer and, on one switch, the data
+  // plane's and the resource manager's probes. A data plane a later
+  // controller took over keeps that controller's attachments.
+  rmt::Pipeline& entry = at(0).dataplane.pipeline();
+  if (entry.observer() == &telemetry_->monitor) {
+    entry.set_observer(nullptr);
+    if (chain_ == nullptr) at(0).dataplane.attach_telemetry(nullptr);
+  }
+  if (chain_ == nullptr) at(0).resources.attach_telemetry(nullptr);
+  telemetry_->metrics.unregister_probes(this);
+}
 
 obs::ProgramHealthMonitor& Controller::monitor() noexcept {
   return telemetry_->monitor;
@@ -216,17 +256,7 @@ void Controller::record_event(ControlEvent::Kind kind, ProgramId id,
                               const std::string& name, const std::string& detail) {
   events_.push_back(ControlEvent{kind, clock_.now_ms(), id, name, detail});
   if (events_.size() > 1024) events_.pop_front();
-  const char* counter = nullptr;
-  switch (kind) {
-    case ControlEvent::Kind::Link: counter = "ctrl.events.link"; break;
-    case ControlEvent::Kind::Relink: counter = "ctrl.events.relink"; break;
-    case ControlEvent::Kind::Revoke: counter = "ctrl.events.revoke"; break;
-    case ControlEvent::Kind::LinkFailed: counter = "ctrl.events.link_failed"; break;
-    case ControlEvent::Kind::RevokeFailed:
-      counter = "ctrl.events.revoke_failed";
-      break;
-  }
-  if (counter != nullptr) telemetry_->metrics.counter(counter).inc();
+  metrics_->events[static_cast<std::size_t>(kind)].in(telemetry_->metrics).inc();
 }
 
 void Controller::announce_commit(ProgramId id, const std::string& name) {
@@ -335,8 +365,8 @@ Result<LinkResult> Controller::link_session(const SessionSpec& session) {
 
   std::lock_guard<std::mutex> lock(mu_);
   auto& m = telemetry_->metrics;
-  m.counter("ctrl.tenant.admitted").inc();
-  m.histogram("ctrl.tenant.queue_wait_ms").observe(queue_wait_ms);
+  metrics_->tenant_admitted.in(m).inc();
+  metrics_->queue_wait_ms.in(m).observe(queue_wait_ms);
   return result;
 }
 
@@ -381,7 +411,7 @@ Result<LinkResult> Controller::link_session_admitted(const Compiled& compiled,
       // Bounded like every retry — a genuinely full switch still exhausts
       // the cap and reports AllocFailed.
       conflict = linked.error();
-      telemetry_->metrics.counter("ctrl.link.retries").inc();
+      metrics_->link_retries.in(telemetry_->metrics).inc();
       if (auto_defrag_) defragment_locked(DefragOptions{});
       continue;
     }
@@ -438,10 +468,10 @@ Result<std::vector<LinkResult>> Controller::install_unit_locked(
     result.stats.parse_ms = kParseChargeMs / static_cast<double>(unit.size());
     result.trace = session.trace_id();
     // The deployment-delay breakdown (§6.2.1) as queryable histograms.
-    m.histogram("ctrl.link.parse_ms").observe(result.stats.parse_ms);
-    m.histogram("ctrl.link.alloc_ms").observe(result.stats.alloc_ms);
-    m.histogram("ctrl.link.update_ms").observe(result.stats.update_ms);
-    m.histogram("ctrl.link.deploy_ms").observe(result.stats.deploy_ms());
+    metrics_->parse_ms.in(m).observe(result.stats.parse_ms);
+    metrics_->alloc_ms.in(m).observe(result.stats.alloc_ms);
+    metrics_->update_ms.in(m).observe(result.stats.update_ms);
+    metrics_->deploy_ms.in(m).observe(result.stats.deploy_ms());
   }
   session.root().arg("programs", static_cast<std::uint64_t>(results.size()));
   return results;
@@ -476,10 +506,10 @@ Status Controller::record_compile_locked(const Compiled& compiled, bool single,
 
   auto& m = telemetry_->metrics;
   switch (report.failed) {
-    case Layer::None: m.counter("compiler.programs_compiled").inc(report.programs); break;
-    case Layer::Parse: m.counter("compiler.parse_errors").inc(); break;
-    case Layer::Check: m.counter("compiler.check_errors").inc(); break;
-    case Layer::Translate: m.counter("compiler.translate_errors").inc(); break;
+    case Layer::None: metrics_->programs_compiled.in(m).inc(report.programs); break;
+    case Layer::Parse: metrics_->parse_errors.in(m).inc(); break;
+    case Layer::Check: metrics_->check_errors.in(m).inc(); break;
+    case Layer::Translate: metrics_->translate_errors.in(m).inc(); break;
   }
   // Parse + check + translate, charged to the simulated clock at the
   // paper's parse time.
@@ -500,23 +530,20 @@ double Controller::record_solve_locked(const Solved& solved) {
   clock_.advance_ms(charge_ms);
   auto& tracer = telemetry_->tracer;
   std::vector<std::pair<std::string, std::string>> args;
-  if (!tracer.full() && solved.allocs.ok()) {
-    const rp::AllocationResult& alloc = solved.allocs.value().front();
+  if (!tracer.full() && solved.alloc.ok()) {
+    const rp::AllocationResult& alloc = solved.alloc.value();
     args.emplace_back("nodes_explored", std::to_string(alloc.nodes_explored));
     args.emplace_back("rounds", std::to_string(alloc.rounds));
   }
   tracer.record_span("solve", "ctrl", start_ns, clock_.now_ns(),
                      telemetry_->active_trace.trace_id, std::move(args), *solved.wall_ms);
   auto& m = telemetry_->metrics;
-  m.counter("compiler.solver.calls").inc();
+  metrics_->solver_calls.in(m).inc();
   if (solved.hop0) {
-    static const std::vector<double> kCountBounds = obs::Histogram::count_bounds();
-    m.histogram("compiler.solver.nodes_explored", kCountBounds)
-        .observe(static_cast<double>(solved.hop0->first));
-    m.histogram("compiler.solver.rounds", kCountBounds)
-        .observe(static_cast<double>(solved.hop0->second));
+    metrics_->nodes_explored.in(m).observe(static_cast<double>(solved.hop0->first));
+    metrics_->rounds.in(m).observe(static_cast<double>(solved.hop0->second));
   } else {
-    m.counter("compiler.solver.infeasible").inc();
+    metrics_->solver_infeasible.in(m).inc();
   }
   return charge_ms;
 }
@@ -561,26 +588,25 @@ Result<Controller::Staged> Controller::stage_locked(const rp::TranslatedProgram&
   // A fresh solve is charged and recorded once the deploy passed its
   // checks; a defrag move's stored allocation charges nothing.
   const double alloc_ms = solved.wall_ms ? record_solve_locked(solved) : 0.0;
-  if (!solved.allocs.ok()) {
+  if (!solved.alloc.ok()) {
     // With auto-defrag the snapshot had the words but not the contiguity:
     // the caller compacts and burns a retry on the improved memory map.
-    if (retryable(solved.allocs.error()) && auto_defrag_) {
+    if (retryable(solved.alloc.error()) && auto_defrag_) {
       *retry = true;
-      return solved.allocs.error();
+      return solved.alloc.error();
     }
-    return fail(0, -1, solved.allocs.error());
+    return fail(0, -1, solved.alloc.error());
   }
-  std::vector<rp::AllocationResult> allocs = std::move(solved.allocs).take();
   if (chain_ != nullptr) {
-    if (auto s = check_chain(ir, allocs); !s.ok()) return fail(0, -1, s.error());
+    if (auto s = check_chain(ir, solved); !s.ok()) return fail(0, -1, s.error());
   }
 
   // Transaction: reserve -> plan -> stage on every hop, then commit; any
   // fault rolls every hop back. A relink or defrag move retires the old
   // version in the same transaction, once the new one is live on every hop.
   const ProgramId id = next_program_id();
-  auto txn = std::make_unique<ChainTransaction>(contexts_, ir, std::move(allocs), id,
-                                                ++filter_generation_, replacing,
+  auto txn = std::make_unique<ChainTransaction>(contexts_, ir, std::move(solved.alloc).take(),
+                                                id, ++filter_generation_, replacing,
                                                 telemetry_);
   if (replacing != 0) txn->retire(replacing);
   if (auto s = txn->stage_all(); !s.ok()) {
@@ -647,7 +673,8 @@ void Controller::forget_locked(ProgramId id) {
   // The removal cleared the program's placements and handles; its IR still
   // gives the footprint (demand equals the committed footprint exactly).
   const InstalledProgram& program = at(0).programs.at(id);
-  tenants_.release(program.tenant, memory_demand(program.ir), entry_demand(program.ir));
+  const rp::TranslatedProgram& ir = program.image->ir;
+  tenants_.release(program.tenant, memory_demand(ir), entry_demand(ir));
   for (auto& hop : hops_) hop->programs.erase(id);
   free_ids_.push_back(id);
 }
@@ -752,44 +779,38 @@ Controller::Solved Controller::solve(
     const std::vector<ResourceManager::Snapshot>& snapshots) const {
   // Occupancies evolve in lockstep and the solver is deterministic, so a hop
   // whose books equal hop 0's takes hop 0's answer. A hop whose books differ
-  // is solved on its own; check_chain rejects an answer that differs.
+  // is solved on its own; an answer that differs fails check_chain.
   const WallTimer timer;
-  std::optional<std::pair<std::uint64_t, int>> hop0;
-  std::vector<rp::AllocationResult> allocs;
-  allocs.reserve(hops_.size());
-  for (std::size_t h = 0; h < hops_.size(); ++h) {
-    if (h > 0 && snapshots[h] == snapshots[0]) {
-      allocs.push_back(allocs.front());
-      continue;
+  auto alloc = rp::solve_allocation(ir, at(0).dataplane.spec(), snapshots[0], objective_);
+  if (!alloc.ok()) return Solved{alloc.error(), {}, timer.elapsed_ms(), std::nullopt};
+  const std::pair<std::uint64_t, int> hop0{alloc.value().nodes_explored,
+                                           alloc.value().rounds};
+  Status agreed;
+  for (std::size_t h = 1; h < hops_.size(); ++h) {
+    if (snapshots[h] == snapshots[0]) continue;
+    auto own = rp::solve_allocation(ir, hops_[h]->dataplane.spec(), snapshots[h], objective_);
+    if (!own.ok()) return Solved{own.error(), {}, timer.elapsed_ms(), hop0};
+    if (agreed.ok() && (own.value().x != alloc.value().x ||
+                        own.value().vmem_rpb != alloc.value().vmem_rpb)) {
+      agreed = Error{"per-hop allocations diverged at hop " + std::to_string(h) +
+                         " — chain occupancies must evolve in lockstep",
+                     "Controller", ErrorCode::Conflict};
     }
-    auto alloc =
-        rp::solve_allocation(ir, hops_[h]->dataplane.spec(), snapshots[h], objective_);
-    if (!alloc.ok()) return Solved{alloc.error(), timer.elapsed_ms(), hop0};
-    if (h == 0) hop0.emplace(alloc.value().nodes_explored, alloc.value().rounds);
-    allocs.push_back(std::move(alloc).take());
   }
-  return Solved{std::move(allocs), timer.elapsed_ms(), hop0};
+  return Solved{std::move(alloc), std::move(agreed), timer.elapsed_ms(), hop0};
 }
 
-Status Controller::check_chain(const rp::TranslatedProgram& ir,
-                               const std::vector<rp::AllocationResult>& allocs) const {
-  for (std::size_t h = 1; h < allocs.size(); ++h) {
-    if (allocs[h].x != allocs[0].x || allocs[h].vmem_rpb != allocs[0].vmem_rpb) {
-      return Error{"per-hop allocations diverged at hop " + std::to_string(h) +
-                       " — chain occupancies must evolve in lockstep",
-                   "Controller", ErrorCode::Conflict};
-    }
-  }
+Status Controller::check_chain(const rp::TranslatedProgram& ir, const Solved& solved) const {
+  if (!solved.agreed.ok()) return solved.agreed;
+  const rp::AllocationResult& alloc = solved.alloc.value();
   const int total_rpbs = at(0).dataplane.spec().total_rpbs();
-  if (auto s = dp::SwitchChain::chain_compatibility(ir.vmem_depths, allocs[0].x,
-                                                    total_rpbs);
+  if (auto s = dp::SwitchChain::chain_compatibility(ir.vmem_depths, alloc.x, total_rpbs);
       !s.ok()) {
     return s;
   }
-  if (allocs[0].rounds > length()) {
-    return Error{"program '" + ir.name + "' needs " +
-                     std::to_string(allocs[0].rounds) + " rounds but the chain "
-                     "has only " + std::to_string(length()) + " hops",
+  if (alloc.rounds > length()) {
+    return Error{"program '" + ir.name + "' needs " + std::to_string(alloc.rounds) +
+                     " rounds but the chain has only " + std::to_string(length()) + " hops",
                  "Controller", ErrorCode::InvalidArgument};
   }
   return {};
@@ -880,12 +901,13 @@ Result<int> Controller::owning_hop_unlocked(ProgramId id,
   if (program == nullptr) {
     return Error{"unknown program", "Controller", ErrorCode::NotFound};
   }
-  const auto it = program->ir.vmem_depths.find(vmem);
-  if (it == program->ir.vmem_depths.end() || it->second.empty()) {
+  const ProgramImage& image = *program->image;
+  const auto it = image.ir.vmem_depths.find(vmem);
+  if (it == image.ir.vmem_depths.end() || it->second.empty()) {
     return Error{"unknown memory '" + vmem + "'", "Controller", ErrorCode::NotFound};
   }
   // Chain compatibility guarantees every access shares one round = one hop.
-  return hop_of(program->alloc.x[static_cast<std::size_t>(it->second.front() - 1)]);
+  return hop_of(image.alloc.x[static_cast<std::size_t>(it->second.front() - 1)]);
 }
 
 Result<int> Controller::owning_hop(ProgramId id, const std::string& vmem) const {
@@ -942,11 +964,11 @@ Result<rmt::HashAlgo> Controller::hash_algo_for(ProgramId id,
   if (prog == nullptr) {
     return Error{"unknown program", "Controller", ErrorCode::NotFound};
   }
-  for (const auto& node : prog->ir.nodes) {
+  for (const auto& node : prog->image->ir.nodes) {
     const bool hashes_mem = node.op.kind == dp::OpKind::Hash5TupleMem ||
                             node.op.kind == dp::OpKind::HashHarMem;
     if (!hashes_mem || node.op.vmem != vmem) continue;
-    const int logical = prog->alloc.x[static_cast<std::size_t>(node.depth - 1)];
+    const int logical = prog->image->alloc.x[static_cast<std::size_t>(node.depth - 1)];
     const dp::RunproDataplane& dataplane = at(hop_of(logical)).dataplane;
     const int phys = dp::physical_rpb(logical, dataplane.spec().total_rpbs());
     return dataplane.rpb(phys).hash16_algo();
@@ -1010,13 +1032,12 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
     // Migrate: commit a copy at its stored allocation (same pinned stages,
     // fresh first-fit placements; replacing = old id carries the memory
     // bytes over inside the same transaction), then retire the old copy.
-    // The IR is a local copy: the transaction holds it by reference, and
-    // retiring the old copy erases its map node.
-    const rp::TranslatedProgram ir = at(0).programs.at(best_id).ir;
-    std::vector<rp::AllocationResult> stored;
-    for (const auto& hop : hops_) stored.push_back(hop->programs.at(best_id).alloc);
-    auto moved = replace_locked(
-        best_id, ir, Solved{std::move(stored), std::nullopt, std::nullopt}, "defrag move");
+    // The move holds the old image: the transaction reads its IR by
+    // reference, and retiring the old copy erases its map nodes.
+    const std::shared_ptr<const ProgramImage> image = at(0).programs.at(best_id).image;
+    auto moved = replace_locked(best_id, image->ir,
+                                Solved{image->alloc, {}, std::nullopt, std::nullopt},
+                                "defrag move");
     if (!moved.ok()) {
       // Rolled back (injected fault or transient entry pressure): state is
       // exactly as before the attempt. Skip the program for this pass.

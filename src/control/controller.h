@@ -95,7 +95,9 @@ class Controller {
   /// One recirculating switch. `telemetry` routes all observations
   /// (metrics, phase spans) of this controller, its update engine, resource
   /// manager and the dataplane's pipeline through one bundle; null selects
-  /// obs::default_telemetry().
+  /// obs::default_telemetry(). The bundle must outlive the controller, not
+  /// the data plane: the destructor detaches everything the constructor
+  /// attached to the data plane (pipeline and hub probes, the observer).
   Controller(dp::RunproDataplane& dataplane, SimClock& clock,
              rp::Objective objective = {}, BfrtCostModel cost = {},
              obs::Telemetry* telemetry = nullptr);
@@ -107,7 +109,8 @@ class Controller {
   /// single-switch mode this registers no pipeline or resource probes —
   /// hop-level gauges would collide in one registry; the chain-wide monitor
   /// events (chain_txn_commit / chain_txn_rollback) are the chain's
-  /// lifecycle feed.
+  /// lifecycle feed. As on one switch, the bundle must outlive the
+  /// controller, not the chain.
   Controller(dp::SwitchChain& chain, SimClock& clock, rp::Objective objective = {},
              BfrtCostModel cost = {}, obs::Telemetry* telemetry = nullptr);
 
@@ -325,12 +328,16 @@ class Controller {
     std::size_t source_bytes = 0;
   };
 
-  /// Per-hop allocations for one deploy: a fresh solve (under the lock, or
-  /// off-lock for a session), recorded when it stages, or a defrag move's
-  /// stored allocation (no wall time: it charges nothing and records no
-  /// solve).
+  /// The allocation of one deploy, every hop's: a fresh solve (under the
+  /// lock, or off-lock for a session), recorded when it stages, or a defrag
+  /// move's stored allocation (no wall time: it charges nothing and records
+  /// no solve).
   struct Solved {
-    Result<std::vector<rp::AllocationResult>> allocs;
+    /// Hop 0's allocation, or the first hop's solve error.
+    Result<rp::AllocationResult> alloc;
+    /// Conflict when a hop solved on its own (its books differ from hop
+    /// 0's) placed the program differently.
+    Status agreed;
     std::optional<double> wall_ms;  ///< the fresh solve's measured wall time
     /// Hop 0's search, the one the compiler.solver.* metrics count: nodes
     /// explored and rounds; unset when hop 0 found no allocation.
@@ -340,6 +347,8 @@ class Controller {
   /// The locked part of one control operation: session lock, trace scope
   /// and lock-hold timer (defined in controller.cpp).
   class Session;
+  /// The link path's metric handles (obs::MetricRef), resolved on first use.
+  struct Metrics;
 
   Controller(dp::SwitchChain* chain, const std::vector<dp::RunproDataplane*>& switches,
              SimClock& clock, rp::Objective objective, BfrtCostModel cost,
@@ -413,15 +422,16 @@ class Controller {
   /// Audited revoke: a transaction of remove records (an async removal
   /// parks the session off-lock under the busy guard).
   Status revoke_locked(ProgramId id, Session& session);
-  /// Per-hop allocations of `ir` against `snapshots`, timed, on the calling
-  /// thread (the solver is pure): one solve of hop 0 serves every hop whose
-  /// snapshot equals hop 0's; a hop whose books differ is solved on its own.
+  /// The allocation of `ir` against per-hop `snapshots`, timed, on the
+  /// calling thread (the solver is pure): one solve of hop 0 serves every
+  /// hop whose snapshot equals hop 0's; a hop whose books differ is solved
+  /// on its own and must agree.
   [[nodiscard]] Solved solve(const rp::TranslatedProgram& ir,
                              const std::vector<ResourceManager::Snapshot>& snapshots) const;
-  /// Chain-only checks: per-hop allocations agree, the program is chain
+  /// Chain-only checks: every hop's solve agreed, the program is chain
   /// compatible and needs no more rounds than there are hops.
   [[nodiscard]] Status check_chain(const rp::TranslatedProgram& ir,
-                                   const std::vector<rp::AllocationResult>& allocs) const;
+                                   const Solved& solved) const;
   [[nodiscard]] std::vector<ResourceManager::Snapshot> snapshots() const;
   /// Take mu_ and drain every hop's async channel (the read-side quiesce).
   [[nodiscard]] std::unique_lock<std::mutex> quiesced() const;
@@ -454,6 +464,7 @@ class Controller {
   SimClock& clock_;
   rp::Objective objective_;
   obs::Telemetry* telemetry_;
+  std::unique_ptr<Metrics> metrics_;
   std::optional<double> fixed_alloc_charge_ms_;
   std::vector<std::unique_ptr<Hop>> hops_;
   std::vector<ChainHop> contexts_;  ///< hops_ as ChainTransaction contexts

@@ -72,10 +72,11 @@ bool simulate_compaction(const ResourceManager::Snapshot& snap,
   std::vector<std::vector<MemBlock>> lists = snap.free_mem;
   // Reserve walk, byte-for-byte the transaction's: alloc.vmem_rpb in map
   // order, first-fit of the IR's vmem size in the pinned RPB.
-  for (const auto& [vmem, rpb] : program.alloc.vmem_rpb) {
+  const ProgramImage& image = *program.image;
+  for (const auto& [vmem, rpb] : image.alloc.vmem_rpb) {
     if (rpb < 1 || static_cast<std::size_t>(rpb) > lists.size()) return false;
-    const auto size_it = program.ir.vmem_sizes.find(vmem);
-    if (size_it == program.ir.vmem_sizes.end()) return false;
+    const auto size_it = image.ir.vmem_sizes.find(vmem);
+    if (size_it == image.ir.vmem_sizes.end()) return false;
     if (!carve_first_fit(lists[static_cast<std::size_t>(rpb - 1)],
                          size_it->second)) {
       return false;

@@ -24,13 +24,14 @@ namespace {
 }  // namespace
 
 std::string disassemble(const InstalledProgram& program, const dp::DataplaneSpec& spec) {
+  const ProgramImage& image = *program.image;
   std::ostringstream out;
   out << "program '" << program.name << "' (id " << program.id << "): depth "
-      << program.ir.depth << ", " << program.alloc.rounds << " round(s), "
-      << program.plan.rpb_entries.size() << " RPB entries\n";
+      << image.ir.depth << ", " << image.alloc.rounds << " round(s), "
+      << image.plan.rpb_entries.size() << " RPB entries\n";
 
   out << "  filters:";
-  for (const auto& f : program.ir.filters) {
+  for (const auto& f : image.ir.filters) {
     out << " <" << rmt::field_name(f.field) << ", 0x" << std::hex << f.value
         << "/0x" << f.mask << std::dec << ">";
   }
@@ -47,9 +48,9 @@ std::string disassemble(const InstalledProgram& program, const dp::DataplaneSpec
   }
 
   // Entries ordered by (round, physical RPB, branch).
-  auto entries = program.plan.rpb_entries;
+  auto entries = image.plan.rpb_entries;
   std::stable_sort(entries.begin(), entries.end(),
-                   [](const rp::RpbEntrySpec& a, const rp::RpbEntrySpec& b) {
+                   [](const dp::RpbEntry& a, const dp::RpbEntry& b) {
                      const auto ka = std::make_tuple(a.keys[dp::kKeyRecirc].value, a.rpb,
                                                      a.keys[dp::kKeyBranch].value);
                      const auto kb = std::make_tuple(b.keys[dp::kKeyRecirc].value, b.rpb,

@@ -44,6 +44,29 @@ namespace {
 
 }  // namespace
 
+struct UpdateEngine::Metrics {
+  obs::CounterRef batches{"ctrl.bfrt.batches"};
+  obs::CounterRef entry_writes{"ctrl.bfrt.entry_writes"};
+  obs::CounterRef maintenance_batches{"ctrl.bfrt.maintenance_batches"};
+  obs::CounterRef coalesced_batches{"ctrl.bfrt.coalesced_batches"};
+  obs::CounterRef mem_resets{"ctrl.bfrt.mem_resets"};
+  obs::HistogramRef batch_entries{"ctrl.bfrt.batch_entries", &obs::Histogram::count_bounds};
+  obs::GaugeRef queue_depth{"ctrl.channel.queue_depth"};
+  obs::HistogramRef publish_us{"rmt.snapshot.publish_us"};
+  obs::CounterRef buckets_frozen{"rmt.snapshot.buckets_frozen"};
+  obs::CounterRef buckets_shared{"rmt.snapshot.buckets_shared"};
+};
+
+UpdateEngine::UpdateEngine(dp::RunproDataplane& dataplane, ResourceManager& resources,
+                           SimClock& clock, BfrtCostModel cost)
+    : dataplane_(dataplane),
+      resources_(resources),
+      clock_(clock),
+      cost_(cost),
+      metrics_(std::make_unique<Metrics>()) {}
+
+UpdateEngine::~UpdateEngine() = default;
+
 void UpdateEngine::charge_batch(std::size_t count, const char* what,
                                 ChannelCursor& cursor) {
   // A batch directly behind a same-kind batch (no idle gap, no other kind
@@ -73,6 +96,7 @@ void UpdateEngine::unwind(std::vector<JournalEntry>& journal) {
 Result<UpdateEngine::AppliedEntries> UpdateEngine::run_install(
     const dp::WriteBatch& batch, ChannelCursor& cursor) {
   AppliedEntries out;
+  out.rpb_handles.reserve(batch.ops.size());
   std::vector<JournalEntry> journal;
   journal.reserve(batch.ops.size());
 
@@ -247,9 +271,7 @@ void UpdateEngine::set_async(bool enabled) {
   } else {
     writer_->wait_idle();
     writer_.reset();
-    if (telemetry_ != nullptr) {
-      telemetry_->metrics.gauge("ctrl.channel.queue_depth").set(0.0);
-    }
+    if (telemetry_ != nullptr) metrics_->queue_depth.in(telemetry_->metrics).set(0.0);
   }
 }
 
@@ -329,7 +351,7 @@ UpdateEngine::PendingWrite UpdateEngine::submit_remove(
     telemetry_->monitor.program_revoked(program.id);
   }
   auto outcome = std::make_shared<WriteOutcome>();
-  rp::stage_remove(program.plan, program.filter_handles, program.rpb_handles,
+  rp::stage_remove(program.image->plan, program.filter_handles, program.rpb_handles,
                    program.recirc_handles, program.placements, outcome->batch);
   const std::size_t ops = outcome->batch.ops.size();
   // The caller guards `program` (busy set) until finish_remove.
@@ -395,31 +417,28 @@ void UpdateEngine::emit_charges(const WriteOutcome& outcome) {
                        charge.start_ns, charge.end_ns, outcome.trace,
                        std::move(args));
     if (!batch) {
-      m.counter("ctrl.bfrt.mem_resets").inc();
+      metrics_->mem_resets.in(m).inc();
       continue;
     }
-    m.counter("ctrl.bfrt.batches").inc();
-    m.counter("ctrl.bfrt.entry_writes").inc(charge.entries);
-    if (outcome.maintenance) m.counter("ctrl.bfrt.maintenance_batches").inc();
-    static const std::vector<double> kCountBounds = obs::Histogram::count_bounds();
-    m.histogram("ctrl.bfrt.batch_entries", kCountBounds)
-        .observe(static_cast<double>(charge.entries));
-    if (charge.coalesced) m.counter("ctrl.bfrt.coalesced_batches").inc();
+    metrics_->batches.in(m).inc();
+    metrics_->entry_writes.in(m).inc(charge.entries);
+    if (outcome.maintenance) metrics_->maintenance_batches.in(m).inc();
+    metrics_->batch_entries.in(m).observe(static_cast<double>(charge.entries));
+    if (charge.coalesced) metrics_->coalesced_batches.in(m).inc();
   }
 }
 
 void UpdateEngine::observe_publish(const std::optional<dp::PublishStats>& publish) {
   if (telemetry_ == nullptr || !publish) return;
   auto& m = telemetry_->metrics;
-  m.histogram("rmt.snapshot.publish_us").observe(publish->publish_us);
-  m.counter("rmt.snapshot.buckets_frozen").inc(publish->buckets.frozen);
-  m.counter("rmt.snapshot.buckets_shared").inc(publish->buckets.shared);
+  metrics_->publish_us.in(m).observe(publish->publish_us);
+  metrics_->buckets_frozen.in(m).inc(publish->buckets.frozen);
+  metrics_->buckets_shared.in(m).inc(publish->buckets.shared);
 }
 
 void UpdateEngine::update_queue_gauge() {
   if (telemetry_ == nullptr || writer_ == nullptr) return;
-  telemetry_->metrics.gauge("ctrl.channel.queue_depth")
-      .set(static_cast<double>(writer_->depth()));
+  metrics_->queue_depth.in(telemetry_->metrics).set(static_cast<double>(writer_->depth()));
 }
 
 void UpdateEngine::announce_deploy(const InstalledProgram& program) {

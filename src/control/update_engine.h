@@ -75,15 +75,28 @@ struct BfrtCostModel {
   double memory_reset_us_per_kb = 18.0;   ///< register range reset via the fast block API
 };
 
-/// A linked (running) program: everything needed to monitor and revoke it.
+/// One version of a program, planned once (docs/ARCHITECTURE.md "Program
+/// images"): the IR, its allocation, the placements its entries were bound
+/// to (the Offset bases) and the entry plan. Every hop whose placements
+/// equal `placements` shares one image, and the transaction that built it
+/// stages its install op-log once for all of them. Never written once
+/// built.
+struct ProgramImage {
+  rp::TranslatedProgram ir;
+  rp::AllocationResult alloc;
+  std::map<std::string, VmemPlacement> placements;
+  rp::EntryPlan plan;
+};
+
+/// A linked (running) program on one hop: its shared image plus what is the
+/// hop's own, the entry handles and the live placements.
 struct InstalledProgram {
   ProgramId id = 0;
   std::string name;
   /// Owning tenant (quota accounting); 0 = default tenant.
   TenantId tenant = 0;
-  rp::TranslatedProgram ir;
-  rp::AllocationResult alloc;
-  rp::EntryPlan plan;
+  std::shared_ptr<const ProgramImage> image;
+  /// The image's placements while installed; cleared by a removal.
   std::map<std::string, VmemPlacement> placements;
 
   // data-plane handles
@@ -107,8 +120,8 @@ struct InstalledProgram {
 class UpdateEngine {
  public:
   UpdateEngine(dp::RunproDataplane& dataplane, ResourceManager& resources,
-               SimClock& clock, BfrtCostModel cost = {})
-      : dataplane_(dataplane), resources_(resources), clock_(clock), cost_(cost) {}
+               SimClock& clock, BfrtCostModel cost = {});
+  ~UpdateEngine();
 
   /// The handles an executed install op-log produced, in batch order.
   struct AppliedEntries {
@@ -369,6 +382,9 @@ class UpdateEngine {
     return false;
   }
 
+  /// The ctrl.bfrt.*, channel and snapshot-publish metric handles.
+  struct Metrics;
+
   int fault_after_ = -1;
   int hop_label_ = -1;
   bool maintenance_ = false;
@@ -386,6 +402,7 @@ class UpdateEngine {
   SimClock::Nanos channel_cursor_ns_ = 0;
   std::string channel_last_label_;
   std::unique_ptr<AsyncWriter> writer_;  ///< non-null = async mode
+  std::unique_ptr<Metrics> metrics_;
 };
 
 }  // namespace p4runpro::ctrl

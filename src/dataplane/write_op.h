@@ -9,6 +9,7 @@
 // is ever exposed; RBFRT-style batched write plans).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,11 +21,14 @@
 
 namespace p4runpro::dp {
 
-/// One planned RPB table entry, fully bound (physical RPB, ternary keys,
-/// priority, action). The declarative twin of a bfrt table_add.
-struct RpbEntryWrite {
+/// One RPB table entry, fully bound (physical RPB, ternary keys, priority,
+/// action): what entry generation plans, an op-log adds or deletes and a
+/// journal inverse re-adds — the declarative twin of a bfrt table_add. The
+/// keys are inline (default: every component a wildcard), so copying an
+/// entry from plan to op-log to journal allocates nothing.
+struct RpbEntry {
   int rpb = 0;  ///< physical RPB id (1-based)
-  std::vector<rmt::TernaryKey> keys;
+  std::array<rmt::TernaryKey, kRpbKeyWidth> keys{};
   int priority = 0;
   RpbAction action;
 };
@@ -52,7 +56,7 @@ struct WriteOp {
 
   // AddRpbEntry: `entry` is the spec. DelRpbEntry: `rpb_handle` identifies
   // the live entry and `entry` is kept so the inverse (re-add) is exact.
-  RpbEntryWrite entry;
+  RpbEntry entry;
   rmt::EntryHandle rpb_handle = 0;
 
   // AddFilters: tuples + priority. DelFilters: handles (tuples + priority
@@ -95,11 +99,11 @@ struct WriteBatch {
     return ops.emplace_back(std::move(op));
   }
 
-  WriteOp& add_rpb_entry(ProgramId program, RpbEntryWrite entry) {
+  WriteOp& add_rpb_entry(ProgramId program, const RpbEntry& entry) {
     WriteOp op;
     op.kind = WriteOp::Kind::AddRpbEntry;
     op.program = program;
-    op.entry = std::move(entry);
+    op.entry = entry;
     return ops.emplace_back(std::move(op));
   }
 
@@ -123,12 +127,12 @@ struct WriteBatch {
     return ops.emplace_back(std::move(op));
   }
 
-  WriteOp& del_rpb_entry(ProgramId program, RpbEntryWrite entry,
+  WriteOp& del_rpb_entry(ProgramId program, const RpbEntry& entry,
                          rmt::EntryHandle handle) {
     WriteOp op;
     op.kind = WriteOp::Kind::DelRpbEntry;
     op.program = program;
-    op.entry = std::move(entry);
+    op.entry = entry;
     op.rpb_handle = handle;
     return ops.emplace_back(std::move(op));
   }

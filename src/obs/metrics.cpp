@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "obs/json.h"
@@ -145,6 +146,12 @@ void MetricsRegistry::clear() {
   gauges_.clear();
   histograms_.clear();
   probes_.clear();
+  epoch_ = next_epoch();
+}
+
+std::uint64_t MetricsRegistry::next_epoch() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 void export_metrics_jsonl(const MetricsRegistry& registry, std::ostream& out) {

@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace p4runpro::obs {
@@ -126,7 +127,11 @@ class MetricsRegistry {
   /// Gauge view merging owned gauges and sampled probes, sorted by name.
   [[nodiscard]] std::vector<std::pair<std::string, double>> sampled_gauges() const;
 
+  /// Drops every metric and probe: references handed out before are invalid.
   void clear();
+  /// Changes at every clear(); no two registries start with the same one.
+  /// MetricRef re-resolves when it changes.
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
  private:
   struct Probe {
@@ -138,7 +143,55 @@ class MetricsRegistry {
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
   std::map<std::string, Probe, std::less<>> probes_;
+  std::uint64_t epoch_ = next_epoch();
+
+  [[nodiscard]] static std::uint64_t next_epoch() noexcept;
 };
+
+/// A handle on one registry metric for hot paths: looked up by name on
+/// first use, then reused until the registry is cleared (clear() drops every
+/// metric it handed out) or another registry is passed. The metric is
+/// created at its first use, as a by-name lookup would, so caching adds
+/// nothing to the exported set. Not thread-safe, as the registry.
+template <typename Metric>
+class MetricRef {
+ public:
+  /// `name` must outlive the handle (a literal). A histogram's `bounds`
+  /// (null: time_ms_bounds()) apply only on creation.
+  explicit MetricRef(std::string_view name, std::vector<double> (*bounds)() = nullptr)
+      : name_(name), bounds_(bounds) {}
+
+  Metric& in(MetricsRegistry& registry) {
+    if (registry_ != &registry || epoch_ != registry.epoch()) {
+      metric_ = &resolve(registry);
+      registry_ = &registry;
+      epoch_ = registry.epoch();
+    }
+    return *metric_;
+  }
+
+ private:
+  Metric& resolve(MetricsRegistry& registry) const {
+    if constexpr (std::is_same_v<Metric, Histogram>) {
+      return bounds_ != nullptr ? registry.histogram(name_, bounds_())
+                                : registry.histogram(name_);
+    } else if constexpr (std::is_same_v<Metric, Gauge>) {
+      return registry.gauge(name_);
+    } else {
+      return registry.counter(name_);
+    }
+  }
+
+  std::string_view name_;
+  std::vector<double> (*bounds_)();
+  MetricsRegistry* registry_ = nullptr;
+  std::uint64_t epoch_ = 0;
+  Metric* metric_ = nullptr;
+};
+
+using CounterRef = MetricRef<Counter>;
+using GaugeRef = MetricRef<Gauge>;
+using HistogramRef = MetricRef<Histogram>;
 
 /// JSON-lines export: one object per metric, sorted by name within each
 /// metric kind (counters, then gauges/probes, then histograms). Output is

@@ -183,7 +183,7 @@ void expect_same_programs(const ChainBed& a, const ChainBed& b) {
 
     const ctrl::InstalledProgram* installed = a.controller.program(id);
     ASSERT_NE(installed, nullptr);
-    for (const auto& [vmem, depths] : installed->ir.vmem_depths) {
+    for (const auto& [vmem, depths] : installed->image->ir.vmem_depths) {
       const auto x_words = a.controller.dump_memory(id, vmem);
       const auto y_words = b.controller.dump_memory(id, vmem);
       ASSERT_TRUE(x_words.ok() && y_words.ok()) << vmem;

@@ -55,8 +55,8 @@ TEST_P(ChainSweep, ChainMatchesRecirculatingSwitch) {
   ASSERT_TRUE(ref.ok()) << ref.error().str();
 
   const auto* installed = controller_single.program(ref.value().id);
-  if (!dp::SwitchChain::chain_compatibility(installed->ir.vmem_depths,
-                                            installed->alloc.x,
+  if (!dp::SwitchChain::chain_compatibility(installed->image->ir.vmem_depths,
+                                            installed->image->alloc.x,
                                             single.spec().total_rpbs())
            .ok()) {
     GTEST_SKIP() << key << " is not chain-compatible";

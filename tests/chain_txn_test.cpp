@@ -45,10 +45,11 @@ std::string cache_source(std::uint32_t mem_buckets = 64,
   return apps::make_program_source("cache", config);
 }
 
-std::string hh_source() {
+std::string hh_source(Word threshold = 1024) {
   apps::ProgramConfig config;
   config.instance_name = "hh";
   config.mem_buckets = 64;
+  config.threshold = threshold;
   return apps::make_program_source("hh", config);
 }
 
@@ -583,7 +584,7 @@ TEST(ChainTxn, ReserveFailureInPhaseOneRollsBackEveryHop) {
   }
   const ChainSnapshot before = capture(bed);
 
-  ctrl::ChainTransaction txn(contexts, ir, std::move(allocs), 42, 1, 0, nullptr);
+  ctrl::ChainTransaction txn(contexts, ir, std::move(allocs.front()), 42, 1, 0, nullptr);
   const Status staged = txn.stage_all();
   ASSERT_FALSE(staged.ok());
   EXPECT_EQ(staged.error().code, ErrorCode::AllocFailed);
@@ -620,7 +621,7 @@ TEST(ChainTxn, DroppingAStagedTransactionRollsBackEveryHop) {
                                         &bed.controller.resources(h),
                                         &bed.controller.updates(h)});
     }
-    ctrl::ChainTransaction txn(contexts, ir, std::move(allocs), 42, 1, 0,
+    ctrl::ChainTransaction txn(contexts, ir, std::move(allocs.front()), 42, 1, 0,
                                nullptr);
     ASSERT_TRUE(txn.stage_all().ok());
     ASSERT_EQ(txn.phase(), ctrl::ChainTransaction::Phase::Staged);
@@ -666,6 +667,152 @@ TEST(ChainTxn, FaultFreeDeployCommitsOnEveryHop) {
   EXPECT_EQ(bed.chain.inject(cache_read(0x8888)).fate,
             rmt::PacketFate::Returned);
   EXPECT_EQ(bed.controller.program_packets(id), 1u);
+}
+
+TEST(ChainTxn, EveryHopSharesOneImagePerOperation) {
+  // Hop books move in lockstep, so hop 0 plans and stages the version once
+  // and every hop executes that image: one pointer, after a link and after
+  // a relink.
+  ChainBed bed(3);
+  auto linked = bed.controller.link(hh_source());
+  ASSERT_TRUE(linked.ok()) << linked.error().str();
+  auto relinked = bed.controller.relink(linked.value().id, hh_source());
+  ASSERT_TRUE(relinked.ok()) << relinked.error().str();
+  ASSERT_NE(relinked.value().id, linked.value().id);
+
+  ASSERT_EQ(bed.controller.program_at(0, linked.value().id), nullptr)
+      << "the relink retired the old version";
+  const auto* hop0 = bed.controller.program_at(0, relinked.value().id);
+  ASSERT_NE(hop0, nullptr);
+  ASSERT_NE(hop0->image, nullptr);
+  for (int h = 0; h < 3; ++h) {
+    const auto* prog = bed.controller.program_at(h, relinked.value().id);
+    ASSERT_NE(prog, nullptr) << "hop " << h;
+    EXPECT_EQ(prog->image, hop0->image) << "hop " << h << " holds another image";
+    EXPECT_EQ(prog->placements, prog->image->placements) << "hop " << h;
+  }
+
+  // A fresh link on the relinked chain is again one image on every hop.
+  auto cache = bed.controller.link(cache_source());
+  ASSERT_TRUE(cache.ok()) << cache.error().str();
+  const auto* cache0 = bed.controller.program_at(0, cache.value().id);
+  ASSERT_NE(cache0, nullptr);
+  EXPECT_NE(cache0->image, hop0->image);
+  for (int h = 1; h < 3; ++h) {
+    EXPECT_EQ(bed.controller.program_at(h, cache.value().id)->image, cache0->image)
+        << "hop " << h;
+  }
+}
+
+/// hh traffic: flows of 10.0/16 sources, `per_flow` packets each.
+std::vector<rmt::Packet> hh_trace(int flows, int per_flow) {
+  std::vector<rmt::Packet> trace;
+  for (int f = 0; f < flows; ++f) {
+    for (int k = 0; k < per_flow; ++k) {
+      rmt::Packet pkt;
+      pkt.ipv4 = rmt::Ipv4Header{.src = 0x0a000000u + static_cast<Word>(f),
+                                 .dst = 0x0b000001, .proto = 17};
+      pkt.udp = rmt::UdpHeader{.src_port = static_cast<std::uint16_t>(1000 + f),
+                               .dst_port = 53};
+      pkt.ingress_port = 5;
+      trace.push_back(pkt);
+    }
+  }
+  return trace;
+}
+
+TEST(ChainTxn, HopWhoseBlocksLandElsewherePlansItsOwnImage) {
+  // On hop 1 only, a small block taken at the pinned RPB moves hop 1's first
+  // fit to another base while every hop's solve still agrees. Hop 1 then
+  // plans its own image, whose Offset entries name its own bases; hops 0
+  // and 2 share one.
+  ChainBed bed(3);
+  auto compiled = rp::compile_source(hh_source(), nullptr);
+  ASSERT_TRUE(compiled.ok());
+  auto alloc = rp::solve_allocation(compiled.value().front(), bed.chain.spec_at(0),
+                                    bed.controller.resources(0).snapshot(),
+                                    rp::Objective{});
+  ASSERT_TRUE(alloc.ok());
+  ASSERT_FALSE(alloc.value().vmem_rpb.empty());
+  ASSERT_TRUE(bed.controller.resources(1)
+                  .allocate_memory(alloc.value().vmem_rpb.begin()->second, 16)
+                  .ok());
+
+  auto linked = bed.controller.link(hh_source(8));
+  ASSERT_TRUE(linked.ok()) << linked.error().str();
+  const ProgramId id = linked.value().id;
+  std::vector<const ctrl::InstalledProgram*> hops;
+  for (int h = 0; h < 3; ++h) {
+    hops.push_back(bed.controller.program_at(h, id));
+    ASSERT_NE(hops.back(), nullptr) << "hop " << h;
+  }
+  EXPECT_EQ(hops[2]->image, hops[0]->image);
+  EXPECT_NE(hops[1]->image, hops[0]->image);
+  EXPECT_NE(hops[1]->placements, hops[0]->placements);
+  for (int h = 0; h < 3; ++h) {
+    SCOPED_TRACE("hop " + std::to_string(h));
+    const ctrl::InstalledProgram& prog = *hops[static_cast<std::size_t>(h)];
+    EXPECT_EQ(prog.image->placements, prog.placements);
+    // Offset entries follow the IR's Offset nodes in order.
+    std::vector<Word> want;
+    for (const auto& node : prog.image->ir.nodes) {
+      if (node.op.kind == dp::OpKind::Offset) {
+        want.push_back(prog.placements.at(node.op.vmem).block.base);
+      }
+    }
+    std::vector<Word> got;
+    for (const auto& entry : prog.image->plan.rpb_entries) {
+      if (entry.action.op.kind == dp::OpKind::Offset) got.push_back(entry.action.op.imm);
+    }
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(got, want);
+  }
+
+  // The chain gives the fates of one recirculating switch running the
+  // program.
+  SimClock clock;
+  dp::RunproDataplane single(chain_spec(3), rmt::ParserConfig{{7777}});
+  obs::Telemetry telemetry;
+  ctrl::Controller controller(single, clock, {}, {}, &telemetry);
+  ASSERT_TRUE(controller.link(hh_source(8)).ok());
+  int reported = 0;
+  const std::vector<rmt::Packet> trace = hh_trace(24, 40);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const rmt::PipelineResult chained = bed.chain.inject(trace[i]);
+    const rmt::PipelineResult switched = single.inject(trace[i]);
+    ASSERT_EQ(chained.fate, switched.fate) << "packet " << i;
+    ASSERT_EQ(chained.egress_port, switched.egress_port) << "packet " << i;
+    ASSERT_EQ(chained.recirc_passes, switched.recirc_passes) << "packet " << i;
+    reported += chained.fate == rmt::PacketFate::Reported ? 1 : 0;
+  }
+  EXPECT_GT(reported, 0) << "no packet crossed the threshold branch";
+
+  // A relink carries over each hop's own words: give every hop's blocks
+  // their own contents first.
+  std::vector<std::map<std::string, std::vector<Word>>> before(3);
+  for (int h = 0; h < 3; ++h) {
+    for (const auto& [vmem, placement] : hops[static_cast<std::size_t>(h)]->placements) {
+      auto& memory = bed.chain.switch_at(h).rpb(placement.rpb).memory();
+      for (std::uint32_t a = 0; a < placement.block.size; ++a) {
+        memory.write(placement.block.base + a, static_cast<Word>(1000 * (h + 1) + a));
+      }
+      before[static_cast<std::size_t>(h)][vmem] =
+          ctrl::read_block(bed.chain.switch_at(h), placement);
+    }
+  }
+  auto relinked = bed.controller.relink(id, hh_source(8));
+  ASSERT_TRUE(relinked.ok()) << relinked.error().str();
+  for (int h = 0; h < 3; ++h) {
+    SCOPED_TRACE("hop " + std::to_string(h));
+    const auto* prog = bed.controller.program_at(h, relinked.value().id);
+    ASSERT_NE(prog, nullptr);
+    ASSERT_EQ(prog->placements.size(), before[static_cast<std::size_t>(h)].size());
+    for (const auto& [vmem, placement] : prog->placements) {
+      EXPECT_EQ(ctrl::read_block(bed.chain.switch_at(h), placement),
+                before[static_cast<std::size_t>(h)].at(vmem))
+          << vmem;
+    }
+  }
 }
 
 TEST(ChainTxn, MemoryAccessRoutesToTheOwningHop) {

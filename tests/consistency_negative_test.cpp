@@ -55,7 +55,7 @@ TEST(ConsistencyNegative, FilterFirstOrderExposesMisprocessing) {
   ASSERT_TRUE(dataplane.init_block().install(id, plan.filters, 1).ok());
 
   bool saw_misprocessing = false;
-  std::vector<rp::RpbEntrySpec> reversed(plan.rpb_entries.rbegin(),
+  std::vector<dp::RpbEntry> reversed(plan.rpb_entries.rbegin(),
                                          plan.rpb_entries.rend());
   for (const auto& spec_entry : reversed) {
     const auto result = dataplane.inject(cache_hit_read());

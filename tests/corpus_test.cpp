@@ -58,7 +58,7 @@ TEST(CorpusTest, PaperCacheListingHasPaperDepth) {
   auto results = controller.link(source);
   ASSERT_TRUE(results.ok());
   const auto* installed = controller.program(results.value()[0].id);
-  EXPECT_EQ(installed->ir.depth, 10);  // Fig. 5(b): L = 10
+  EXPECT_EQ(installed->image->ir.depth, 10);  // Fig. 5(b): L = 10
 }
 
 TEST(CorpusTest, ReportSinkReceivesHeavyHitterNotifications) {

@@ -49,8 +49,8 @@ TEST(EdgeCases, ProgramAtExactlyTheLogicalDepthLimit) {
 
   auto fits = controller.link_single(make_chain(spec.logical_rpbs()));
   ASSERT_TRUE(fits.ok()) << fits.error().str();
-  EXPECT_EQ(controller.program(fits.value().id)->ir.depth, spec.logical_rpbs());
-  EXPECT_EQ(controller.program(fits.value().id)->alloc.rounds, 2);
+  EXPECT_EQ(controller.program(fits.value().id)->image->ir.depth, spec.logical_rpbs());
+  EXPECT_EQ(controller.program(fits.value().id)->image->alloc.rounds, 2);
   ASSERT_TRUE(controller.revoke(fits.value().id).ok());
 
   auto too_deep = controller.link_single(make_chain(spec.logical_rpbs() + 1));

@@ -97,7 +97,7 @@ TEST(EntryGen, BranchCasesGetDescendingPriorityAndTargets) {
       "  case(<har, 1, 0x0f>) { FORWARD(2); };\n"
       "  case(<har, 0, 0>) { FORWARD(3); };\n"
       "}\n");
-  std::vector<const RpbEntrySpec*> cases;
+  std::vector<const dp::RpbEntry*> cases;
   for (const auto& entry : c.plan.rpb_entries) {
     if (entry.action.op.kind == dp::OpKind::Branch) cases.push_back(&entry);
   }

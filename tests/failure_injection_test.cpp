@@ -137,7 +137,7 @@ TEST(GeometryVariants, Tofino2ClassSpecRunsLongProgramsWithoutRecirculation) {
   config.threshold = 5;
   auto linked = controller.link_single(apps::make_program_source("hh", config));
   ASSERT_TRUE(linked.ok()) << linked.error().str();
-  EXPECT_EQ(controller.program(linked.value().id)->alloc.rounds, 1);
+  EXPECT_EQ(controller.program(linked.value().id)->image->alloc.rounds, 1);
 
   rmt::Packet heavy;
   heavy.ipv4 = rmt::Ipv4Header{.src = 0x0a000010, .dst = 0x0b000001, .proto = 17};

@@ -260,8 +260,8 @@ TEST(SwitchChain, ChainCompatibilityCheck) {
   auto linked = controller.link_single(apps::make_program_source("hh", config));
   ASSERT_TRUE(linked.ok());
   const auto* installed = controller.program(linked.value().id);
-  EXPECT_TRUE(dp::SwitchChain::chain_compatibility(installed->ir.vmem_depths,
-                                                   installed->alloc.x,
+  EXPECT_TRUE(dp::SwitchChain::chain_compatibility(installed->image->ir.vmem_depths,
+                                                   installed->image->alloc.x,
                                                    dataplane.spec().total_rpbs())
                   .ok());
 
@@ -278,8 +278,8 @@ TEST(SwitchChain, ChainCompatibilityCheck) {
       "}\n");
   ASSERT_TRUE(rw.ok()) << rw.error().str();
   const auto* rw_installed = controller.program(rw.value().id);
-  EXPECT_FALSE(dp::SwitchChain::chain_compatibility(rw_installed->ir.vmem_depths,
-                                                    rw_installed->alloc.x,
+  EXPECT_FALSE(dp::SwitchChain::chain_compatibility(rw_installed->image->ir.vmem_depths,
+                                                    rw_installed->image->alloc.x,
                                                     dataplane.spec().total_rpbs())
                    .ok());
 }

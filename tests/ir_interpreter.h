@@ -23,12 +23,12 @@ class IrInterpreter {
  public:
   IrInterpreter(const ctrl::InstalledProgram& program, const dp::DataplaneSpec& spec)
       : program_(program), spec_(spec) {
-    for (const auto& [vmem, size] : program.ir.vmem_sizes) {
+    for (const auto& [vmem, size] : program.image->ir.vmem_sizes) {
       shadow_.emplace(vmem, rmt::StageMemory(size));
     }
     // Depth -> nodes lookup.
-    by_depth_.resize(static_cast<std::size_t>(program.ir.depth));
-    for (const auto& node : program.ir.nodes) {
+    by_depth_.resize(static_cast<std::size_t>(program.image->ir.depth));
+    for (const auto& node : program.image->ir.nodes) {
       by_depth_[static_cast<std::size_t>(node.depth - 1)].push_back(&node);
     }
   }
@@ -42,7 +42,7 @@ class IrInterpreter {
 
   /// True iff the packet passes the program's traffic filter.
   [[nodiscard]] bool filter_matches(const rmt::Packet& pkt) const {
-    for (const auto& f : program_.ir.filters) {
+    for (const auto& f : program_.image->ir.filters) {
       const Word value = rmt::read_field(pkt, f.field, 0);
       if ((value & f.mask) != (f.value & f.mask)) return false;
     }
@@ -95,7 +95,7 @@ class IrInterpreter {
         case dp::OpKind::Hash5TupleMem:
           reg(Reg::Mar) = rmt::run_hash(stage_algo(*active),
                                         out.packet.five_tuple().bytes()) &
-                          (program_.ir.vmem_sizes.at(op.vmem) - 1);
+                          (program_.image->ir.vmem_sizes.at(op.vmem) - 1);
           break;
         case dp::OpKind::HashHarMem: {
           const Word h = reg(Reg::Har);
@@ -103,7 +103,7 @@ class IrInterpreter {
               static_cast<std::uint8_t>(h >> 24), static_cast<std::uint8_t>(h >> 16),
               static_cast<std::uint8_t>(h >> 8), static_cast<std::uint8_t>(h)};
           reg(Reg::Mar) = rmt::run_hash(stage_algo(*active), bytes) &
-                          (program_.ir.vmem_sizes.at(op.vmem) - 1);
+                          (program_.image->ir.vmem_sizes.at(op.vmem) - 1);
           break;
         }
         case dp::OpKind::Branch: {
@@ -196,7 +196,7 @@ class IrInterpreter {
   /// The CRC16 variant of the physical stage this node landed on (mirrors
   /// Rpb's per-stage cycle without asking the Rpb).
   [[nodiscard]] rmt::HashAlgo stage_algo(const rp::IrNode& node) const {
-    const int logical = program_.alloc.x[static_cast<std::size_t>(node.depth - 1)];
+    const int logical = program_.image->alloc.x[static_cast<std::size_t>(node.depth - 1)];
     const int phys = dp::physical_rpb(logical, spec_.total_rpbs());
     constexpr rmt::HashAlgo kCycle[] = {
         rmt::HashAlgo::Crc16Buypass, rmt::HashAlgo::Crc16Mcrf4xx,

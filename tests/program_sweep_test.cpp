@@ -67,25 +67,25 @@ TEST_P(ProgramSweep, CompileLinkRunRevoke) {
 
   // Allocation constraint audit on the linked result.
   const auto& spec = dataplane.spec();
-  const auto& x = installed->alloc.x;
-  ASSERT_EQ(static_cast<int>(x.size()), installed->ir.depth);
+  const auto& x = installed->image->alloc.x;
+  ASSERT_EQ(static_cast<int>(x.size()), installed->image->ir.depth);
   for (std::size_t i = 1; i < x.size(); ++i) ASSERT_LT(x[i - 1], x[i]);
   for (std::size_t d = 0; d < x.size(); ++d) {
-    const auto& req = installed->ir.depth_reqs[d];
+    const auto& req = installed->image->ir.depth_reqs[d];
     const int phys = dp::physical_rpb(x[d], spec.total_rpbs());
     if (req.forwarding) {
       EXPECT_TRUE(dp::is_ingress_rpb(phys, spec.ingress_rpbs)) << key;
     }
     for (const auto& vmem : req.vmems) {
-      EXPECT_EQ(installed->alloc.vmem_rpb.at(vmem), phys) << key;
+      EXPECT_EQ(installed->image->alloc.vmem_rpb.at(vmem), phys) << key;
     }
   }
-  EXPECT_LE(installed->alloc.rounds, spec.max_recirculations + 1);
+  EXPECT_LE(installed->image->alloc.rounds, spec.max_recirculations + 1);
 
   // Memory placements exist for every allocated vmem and have the rounded
   // sizes.
-  for (const auto& [vmem, size] : installed->ir.vmem_sizes) {
-    if (installed->alloc.vmem_rpb.count(vmem) == 0) continue;
+  for (const auto& [vmem, size] : installed->image->ir.vmem_sizes) {
+    if (installed->image->alloc.vmem_rpb.count(vmem) == 0) continue;
     const auto& placement = installed->placements.at(vmem);
     EXPECT_EQ(placement.block.size, size) << key << " " << vmem;
   }
@@ -96,7 +96,7 @@ TEST_P(ProgramSweep, CompileLinkRunRevoke) {
   for (int i = 0; i < 50; ++i) {
     const auto result = dataplane.inject(random_packet(rng));
     EXPECT_NE(result.fate, rmt::PacketFate::RecircLimit) << key;
-    EXPECT_LE(result.recirc_passes, installed->alloc.rounds - 1) << key;
+    EXPECT_LE(result.recirc_passes, installed->image->alloc.rounds - 1) << key;
   }
 
   ASSERT_TRUE(controller.revoke(linked.value().id).ok());

@@ -642,7 +642,7 @@ std::set<std::pair<int, std::int64_t>> written_buckets(
   // A filter entry sits in the bucket of its exact ingress-port key, or in
   // the wildcard pool when it does not key on the port.
   std::int64_t filter_key = -1;
-  for (const auto& f : program.plan.filters) {
+  for (const auto& f : program.image->plan.filters) {
     if (dp::filter_key_slot(f.field) == dp::kFilterIngressPort && f.mask == 0xffffffffu) {
       filter_key = f.value;
     }
@@ -885,14 +885,14 @@ ProgramId naive_claim(const rmt::Packet& pkt, const rmt::Parser& parser,
       pkt.eth.ether_type};
   const ctrl::InstalledProgram* best = nullptr;
   for (const ctrl::InstalledProgram* program : programs) {
-    const auto& filters = program->plan.filters;
+    const auto& filters = program->image->plan.filters;
     const auto paths = dp::compatible_paths(filters);
     if (std::find(paths.begin(), paths.end(), path) == paths.end()) continue;
     const bool hit = std::all_of(filters.begin(), filters.end(), [&](const dp::FilterTuple& f) {
       const auto slot = static_cast<std::size_t>(*dp::filter_key_slot(f.field));
       return (fields[slot] & f.mask) == (f.value & f.mask);
     });
-    if (hit && (best == nullptr || program->plan.filter_priority > best->plan.filter_priority)) {
+    if (hit && (best == nullptr || program->image->plan.filter_priority > best->image->plan.filter_priority)) {
       best = program;
     }
   }

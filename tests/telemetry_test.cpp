@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -126,6 +127,63 @@ std::string cache_source() {
   apps::ProgramConfig config;
   config.instance_name = "cache";
   return apps::make_program_source("cache", config);
+}
+
+rmt::Packet cache_read() {
+  rmt::Packet pkt;
+  pkt.ipv4 = rmt::Ipv4Header{.src = 0x0a000001, .dst = 0x0a000002, .proto = 17};
+  pkt.udp = rmt::UdpHeader{.src_port = 4000, .dst_port = 7777};
+  pkt.app = rmt::AppHeader{.op = 1, .key1 = 0x8888, .key2 = 0, .value = 0};
+  pkt.ingress_port = 5;
+  return pkt;
+}
+
+TEST(Telemetry, BundleMayDieBeforeTheDataPlane) {
+  // The bundle must outlive the controller, not the data plane. Declared
+  // between the two, it dies after the controller detached the observer
+  // and the probes it attached, and the data plane keeps running without
+  // it: traffic, a later sharding and its own destruction touch no bundle.
+  dp::RunproDataplane dataplane(dp::DataplaneSpec{}, rmt::ParserConfig{{7777}});
+  {
+    obs::Telemetry telemetry;
+    SimClock clock;
+    ctrl::Controller controller(dataplane, clock, {}, {}, &telemetry);
+    ASSERT_TRUE(controller.link_single(cache_source()).ok());
+    EXPECT_EQ(dataplane.inject(cache_read()).fate, rmt::PacketFate::Returned);
+    EXPECT_EQ(telemetry.monitor.packets_observed(), 1u);
+    EXPECT_GT(telemetry.metrics.gauge_value("rmt.pipeline.packets_in"), 0.0);
+  }
+  EXPECT_EQ(dataplane.pipeline().observer(), nullptr);
+  EXPECT_EQ(dataplane.inject(cache_read()).fate, rmt::PacketFate::Returned);
+  dataplane.enable_sharding(1);
+  EXPECT_EQ(dataplane.pipeline().packets_in(), 2u);
+}
+
+TEST(Telemetry, CachedMetricsFollowAClear) {
+  // The controller and its update engine update metrics through cached
+  // handles; a clear() drops every metric, and the next link re-creates
+  // them in the fresh registry.
+  obs::Telemetry telemetry;
+  SimClock clock;
+  dp::RunproDataplane dataplane(dp::DataplaneSpec{}, rmt::ParserConfig{{7777}});
+  ctrl::Controller controller(dataplane, clock, {}, {}, &telemetry);
+  auto first = controller.link_single(cache_source());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(controller.revoke(first.value().id).ok());
+  const std::uint64_t batches = telemetry.metrics.find_counter("ctrl.bfrt.batches")->value();
+  EXPECT_EQ(telemetry.metrics.find_counter("ctrl.events.revoke")->value(), 1u);
+
+  telemetry.clear();
+  EXPECT_EQ(telemetry.metrics.find_counter("ctrl.events.link"), nullptr);
+  ASSERT_TRUE(controller.link_single(cache_source()).ok());
+  const auto& m = telemetry.metrics;
+  EXPECT_EQ(m.find_counter("ctrl.events.link")->value(), 1u);
+  EXPECT_EQ(m.find_counter("ctrl.events.revoke"), nullptr);
+  EXPECT_EQ(m.find_counter("compiler.solver.calls")->value(), 1u);
+  EXPECT_EQ(m.find_histogram("ctrl.link.deploy_ms")->count(), 1u);
+  EXPECT_GT(m.find_counter("ctrl.bfrt.batches")->value(), 0u);
+  EXPECT_LT(m.find_counter("ctrl.bfrt.batches")->value(), batches)
+      << "the install's batches alone, not the first link's and revoke's too";
 }
 
 TEST(Telemetry, LinkSingleProducesThePhaseSpanTree) {

@@ -198,7 +198,7 @@ void direct_transaction(Bed& bed, int hops, Op op, std::ostringstream& out) {
       ASSERT_TRUE(starved.reserve_entries(static_cast<int>(i) + 1, free_entries[i]).ok());
     }
   }
-  ctrl::ChainTransaction txn(contexts, ir, std::move(allocs), 99, 7, 0,
+  ctrl::ChainTransaction txn(contexts, ir, std::move(allocs.front()), 99, 7, 0,
                              &bed.telemetry);
   if (op != Op::DropUnstaged) {
     const Status staged = txn.stage_all();
